@@ -137,15 +137,15 @@ def cmd_monogenic(args) -> int:
     t0 = time.perf_counter()
     report = is_monogenic_fp(args.k, args.p, factor_budget=budget)
     ms = (time.perf_counter() - t0) * 1000
-    t = report.trinomial
+    t, disc = report.trinomial, report.discriminant
     result = {
         "trinomial": {"N": t.N, "M": t.M, "A": t.A, "B": t.B},
-        "discriminant": report.discriminant,
+        "discriminant": disc,
         "monogenic": report.monogenic,
     }
     text = [
         f"monogenicity of x^{t.N} + ({t.A})*x^{t.M} + ({t.B})  [k={args.k}, p={args.p}]",
-        f"  discriminant {report.discriminant}",
+        f"  discriminant {disc}",
         f"  monogenic    {_yesno(report.monogenic)}",
     ]
     if args.report:

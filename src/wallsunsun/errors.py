@@ -25,7 +25,7 @@ class FactorizationBudgetError(RuntimeError):
 
 
 class InconsistencyError(RuntimeError):
-    """The detection criteria disagreed on some (k, p). Should never happen.
+    """The criteria disagreed, or an exact-division check failed. Should never happen.
 
     Carries the offending classification in `classification` so callers can
     report exactly which criterion broke ranks.

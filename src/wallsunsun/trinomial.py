@@ -13,8 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import HypothesisError
-from .intmath import factorize, is_prime, jacobi
+from .errors import HypothesisError, InconsistencyError
+from .intmath import factorize, is_prime
 
 
 @dataclass(frozen=True)
@@ -71,9 +71,13 @@ class IndexVerdict:
 @dataclass(frozen=True)
 class MonogenicityReport:
     trinomial: Trinomial
-    discriminant: int
     verdicts: tuple[IndexVerdict, ...]
     monogenic: bool
+
+    @property
+    def discriminant(self) -> int:
+        """disc(F_p) by the closed form, built only when read (over 2p log2 p bits)."""
+        return fp_discriminant(-self.trinomial.A, self.trinomial.M)
 
 
 def wss_trinomial(k: int, p: int) -> Trinomial:
@@ -151,7 +155,7 @@ def index_d_value(t: Trinomial) -> tuple[int, int]:
     """The case-5 quantity D and its exact normalization D / r^N1.
 
     D = N^N1 * B^(N1-M1) - (-1)^N1 * M^M1 * (N-M)^(N1-M1) * A^N1.
-    r^N1 always divides D; the division is asserted.
+    r^N1 always divides D; the division is checked.
     """
     n1, m1 = t.n1, t.m1
     d = (
@@ -159,12 +163,14 @@ def index_d_value(t: Trinomial) -> tuple[int, int]:
         - (-1) ** n1 * t.M**m1 * (t.N - t.M) ** (n1 - m1) * t.A**n1
     )
     norm, rem = divmod(d, t.r**n1)
-    assert rem == 0, "r^N1 must divide D"
+    if rem:
+        raise InconsistencyError(f"r^N1 does not divide D for {t}")
     return d, norm
 
 
 def _valuation(q: int, n: int) -> int:
-    assert n != 0
+    if n == 0:
+        raise ValueError("the valuation of 0 is infinite")
     v = 0
     while n % q == 0:
         n //= q
@@ -179,20 +185,17 @@ def _trim(f: list[int]) -> list[int]:
     return f[:i]
 
 
-def _poly_rem(f: list[int], g: list[int], q: int) -> list[int]:
-    """f mod g over F_q; f, g little-endian, g nonzero and trimmed."""
-    inv = pow(g[-1], -1, q)
-    rem = list(f)
-    dg = len(g) - 1
-    for top in range(len(rem) - 1, dg - 1, -1):
-        c = rem[top]
+def _reduce(f: list[int], g: list[int], mod: int) -> list[int]:
+    """f mod (g, mod) for monic g, as exactly deg(g) coefficients."""
+    u = len(g) - 1
+    f = f + [0] * (u - len(f))
+    for top in range(len(f) - 1, u - 1, -1):
+        c = f[top] % mod
         if c:
-            factor = c * inv % q
-            off = top - dg
-            for i in range(dg):
-                rem[off + i] = (rem[off + i] - factor * g[i]) % q
-            rem[top] = 0
-    return _trim(rem)
+            off = top - u
+            for i in range(u):
+                f[off + i] -= c * g[i]
+    return [c % mod for c in f[:u]]
 
 
 def _poly_gcd(f: list[int], g: list[int], q: int) -> list[int]:
@@ -200,63 +203,61 @@ def _poly_gcd(f: list[int], g: list[int], q: int) -> list[int]:
     f = _trim([c % q for c in f])
     g = _trim([c % q for c in g])
     while g:
-        f, g = g, _poly_rem(f, g, q)
+        inv = pow(g[-1], -1, q)
+        f, g = g, _trim(_reduce(f, [c * inv % q for c in g], q))
     if not f:
         return []
     inv = pow(f[-1], -1, q)
     return [c * inv % q for c in f]
 
 
+def _mulmod(f: list[int], h: list[int], g: list[int], mod: int) -> list[int]:
+    prod = [0] * (len(f) + len(h) - 1)
+    for i, fi in enumerate(f):
+        if fi:
+            for j, hj in enumerate(h):
+                prod[i + j] += fi * hj
+    return _reduce(prod, g, mod)
+
+
+def _powmod(base: list[int], e: int, g: list[int], mod: int) -> list[int]:
+    """base^e in (Z/mod)[x]/(g) by square-and-multiply; g monic."""
+    result = _reduce([1], g, mod)
+    base = _reduce(base, g, mod)
+    while e:
+        if e & 1:
+            result = _mulmod(result, base, g, mod)
+        e >>= 1
+        if e:
+            base = _mulmod(base, base, g, mod)
+    return result
+
+
 def _case4_g_h(
     N: int, M: int, A: int, B: int, q: int, qm: int
 ) -> tuple[list[int], list[int]]:
-    """The case-4 pair G, H reduced mod q, little-endian.
+    """The case-4 pair (G mod q, (H mod G) mod q), little-endian.
 
     G = x^(N/qm) + A x^(M/qm) + B.
     H = (A x^M + B + (-A x^(M/qm) - B)^qm) / q, where qm = q^m strips the
     full shared q-power out of (N, M).
 
-    Every coefficient of H's numerator is divisible by q: the interior
-    binomial coefficients C(qm, i) have q-valuation m - v_q(i) >= 1, and
-    the two edge coefficients collapse to c + (-c)^qm with q not dividing
-    c, which Fermat kills mod q. Each division below is exact and checked.
-    The interior C(qm, i) are carried exactly (integer row recurrence) and
-    only then divided by q; the A/B power factors, which the division never
-    touches, are reduced mod q as they go, so coefficients of astronomical
-    height are never materialized.
+    Only gcd(G, H) over F_q is needed, and it equals gcd(G, H mod G). G is
+    monic, so reduction mod G commutes with the exact division by q: the
+    numerator is powered in (Z/q^2)[x]/(G), checked to be divisible by q
+    (C(qm, i) carries a factor q for 0 < i < qm, and Fermat kills
+    c + (-c)^qm), and divided. That is O(deg(G)^2 log M) work: O(log p) at
+    q = p for x^{2p} - k x^p - 1.
     """
-    u, v = N // qm, M // qm
-    g = [0] * (u + 1)
-    g[u] = 1
-    g[v] = (g[v] + A) % q
-    g[0] = (g[0] + B) % q
-
-    h = [0] * (M + 1)
-    q2 = q * q
-    c0 = (B + pow(-B, qm, q2)) % q2
-    assert c0 % q == 0, "edge coefficient of H numerator must be divisible by q"
-    h[0] = c0 // q % q
-    cm = (A + pow(-A, qm, q2)) % q2
-    assert cm % q == 0, "edge coefficient of H numerator must be divisible by q"
-    h[M] = cm // q % q
-
-    nega = (-A) % q
-    negb = (-B) % q
-    invb = pow(negb, -1, q)  # q never divides B in case 4
-    binom = 1
-    powa = 1
-    powb = pow(negb, qm, q)
-    for i in range(1, qm):
-        binom = binom * (qm - i + 1) // i  # exact: C(qm, i)
-        powa = powa * nega % q
-        powb = powb * invb % q  # (-B)^(qm-i)
-        assert binom % q == 0, "q must divide C(qm, i) for 0 < i < qm"
-        c = binom // q % q
-        if c:
-            c = c * powa % q * powb % q
-            if c:
-                h[v * i] = (h[v * i] + c) % q
-    return g, h
+    mod = q * q
+    g = [c % mod for c in Trinomial(N // qm, M // qm, A, B).coeffs()]
+    x_m = _powmod([0, 1], M, g, mod)
+    num = _powmod([-c for c in g[:-1]], qm, g, mod)  # (-A x^(M/qm) - B)^qm
+    num = [(c + A * xc) % mod for c, xc in zip(num, x_m)]
+    num[0] = (num[0] + B) % mod
+    if any(c % q for c in num):
+        raise InconsistencyError(f"q = {q} does not divide the case-4 numerator (qm = {qm})")
+    return [c % q for c in g], [c // q for c in num]
 
 
 def index_check_prime(
@@ -266,13 +267,18 @@ def index_check_prime(
 
     Requires q | disc(t) and t irreducible over Q (the caller vouches for
     irreducibility). Pass the discriminant when it is already known; when
-    omitted it is recomputed via the resultant, which is only sensible for
-    small degrees.
+    omitted, q | disc(t) is read off Swan's closed form
+    disc(t) = (-1)^(N(N-1)/2) * B^(M-1) * D^r, with D from index_d_value,
+    so the discriminant itself is never built.
     """
     if q < 2 or not is_prime(q):
         raise ValueError(f"q must be prime, got {q}")
-    disc = discriminant_resultant(t) if discriminant is None else discriminant
-    if disc % q != 0:
+    d, norm = index_d_value(t)
+    if discriminant is None:
+        in_disc = (t.M > 1 and t.B % q == 0) or d % q == 0
+    else:
+        in_disc = discriminant % q == 0
+    if not in_disc:
         raise ValueError(f"q = {q} does not divide the discriminant of {t}")
 
     n, m, a, b = t.N, t.M, t.A, t.B
@@ -286,13 +292,13 @@ def index_check_prime(
 
     if a % q == 0:
         # B1 = (B + (-B)^(q^e))/q with q^e || N; only its residue mod q is
-        # ever used, so it is read off mod q^2 (divisibility asserted).
+        # ever used, so it is read off mod q^2 (divisibility checked).
         e = _valuation(q, n)
         b1_num = (b + pow(-b, q**e, q2)) % q2
-        assert b1_num % q == 0, "q must divide B + (-B)^(q^e)"
+        if b1_num % q:
+            raise InconsistencyError(f"q = {q} does not divide B + (-B)^(q^e) for {t}")
         b1 = b1_num // q % q
-        a2_full = a // q
-        a2 = a2_full % q
+        a2 = a // q % q
         if a2 == 0 and b1 != 0:
             return IndexVerdict(q, False, 2, "q | A2 and q does not divide B1")
         val = a2 * (pow(-b, m1, q) * pow(a2, n1, q) - pow(-b1, n1, q)) % q
@@ -305,10 +311,10 @@ def index_check_prime(
     if b % q == 0:
         j = _valuation(q, n - m)
         a1_num = (a + pow(-a, q**j, q2)) % q2
-        assert a1_num % q == 0, "q must divide A + (-A)^(q^j)"
+        if a1_num % q:
+            raise InconsistencyError(f"q = {q} does not divide A + (-A)^(q^j) for {t}")
         a1 = a1_num // q % q
-        b2_full = b // q
-        b2 = b2_full % q
+        b2 = b // q % q
         if a1 == 0 and b2 != 0:
             return IndexVerdict(q, False, 3, "q | A1 and q does not divide B2")
         val = (
@@ -332,7 +338,6 @@ def index_check_prime(
         detail = f"gcd(G, H) over F_q has degree {degree}"
         return IndexVerdict(q, not ok, 4, detail)
 
-    _, norm = index_d_value(t)
     ok = norm % q2 != 0
     detail = (
         "q^2 does not divide D/r^N1" if ok else "q^2 divides D/r^N1"
@@ -355,12 +360,6 @@ def gh_coprimality(k: int, p: int) -> bool:
     if (k * k + 4) % p == 0:
         raise ValueError(f"p = {p} divides k^2+4; the G/H test does not apply")
     g, h = _case4_g_h(2 * p, p, -k, -1, p, p)
-    if __debug__ and p % 2 == 1 and p < 100 and k % p != 0:
-        # sanity hook: x^2 - kx - 1 factors mod p iff k^2+4 is a square mod p
-        has_root = any(
-            (x * x - k * x - 1) % p == 0 for x in range(p)
-        )
-        assert has_root == (jacobi(k * k + 4, p) == 1)
     gcd = _poly_gcd(g, h, p)
     return len(gcd) == 1
 
@@ -373,7 +372,9 @@ def is_monogenic_fp(
     Valid only under the standing hypotheses (4 does not divide k and
     (k^2+4)/gcd(2,k)^2 squarefree), which guarantee irreducibility. The
     discriminant's prime factors are p together with the primes of k^2+4,
-    read off the closed form, so no big-number factoring happens here.
+    read off the closed form, so no big-number factoring happens here. The
+    discriminant itself is not built: index_check_prime decides q | disc
+    by Swan's formula, and the report computes it only when read.
     """
     from .wss import validate_k  # deferred; wss imports this module
 
@@ -383,12 +384,10 @@ def is_monogenic_fp(
     if not hyp.squarefree_ok:
         raise HypothesisError(f"D = {hyp.d_value} is not squarefree for k = {k}")
     t = wss_trinomial(k, p)  # validates p
-    disc = fp_discriminant(k, p)
     qs = sorted({p} | set(factorize(k * k + 4, budget=factor_budget).primes()))
-    verdicts = tuple(index_check_prime(t, q, discriminant=disc) for q in qs)
+    verdicts = tuple(index_check_prime(t, q) for q in qs)
     return MonogenicityReport(
         trinomial=t,
-        discriminant=disc,
         verdicts=verdicts,
         monogenic=not any(v.divides_index for v in verdicts),
     )

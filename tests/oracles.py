@@ -195,3 +195,75 @@ def trinomial_coeffs(n: int, m: int, a: int, b: int) -> list[int]:
     f[m] += a
     f[0] += b
     return f
+
+
+def _trim_mod(f: list[int], q: int) -> list[int]:
+    f = [c % q for c in f]
+    while f and f[-1] == 0:
+        f.pop()
+    return f
+
+
+def poly_rem_mod(f: list[int], g: list[int], q: int) -> list[int]:
+    """f mod g over F_q by schoolbook long division, trimmed; g nonzero mod q."""
+    g = _trim_mod(g, q)
+    inv = pow(g[-1], -1, q)
+    rem = [c % q for c in f]
+    for top in range(len(rem) - 1, len(g) - 2, -1):
+        c = rem[top] * inv % q
+        off = top - (len(g) - 1)
+        for i, gi in enumerate(g):
+            rem[off + i] = (rem[off + i] - c * gi) % q
+    return _trim_mod(rem, q)
+
+
+def poly_gcd_mod(f: list[int], g: list[int], q: int) -> list[int]:
+    """Monic gcd over F_q by Euclid (empty list for gcd(0, 0))."""
+    f, g = _trim_mod(f, q), _trim_mod(g, q)
+    while g:
+        f, g = g, poly_rem_mod(f, g, q)
+    if not f:
+        return []
+    inv = pow(f[-1], -1, q)
+    return [c * inv % q for c in f]
+
+
+def case4_gh_exact(
+    N: int, M: int, A: int, B: int, q: int, qm: int
+) -> tuple[list[int], list[int]]:
+    """The case-4 pair (G, H) mod q with H built in full, little-endian.
+
+    G = x^(N/qm) + A x^(M/qm) + B and
+    H = (A x^M + B + (-A x^(M/qm) - B)^qm) / q. Every binomial C(qm, i) is
+    carried exactly along its row and only then divided by q, so this costs
+    O(qm^2) bit operations; the A/B power factors are reduced mod q as they go.
+    """
+    u, v = N // qm, M // qm
+    g = [0] * (u + 1)
+    g[u] = 1
+    g[v] = (g[v] + A) % q
+    g[0] = (g[0] + B) % q
+
+    h = [0] * (M + 1)
+    q2 = q * q
+    c0 = (B + pow(-B, qm, q2)) % q2
+    assert c0 % q == 0, "edge coefficient of H numerator must be divisible by q"
+    h[0] = c0 // q % q
+    cm = (A + pow(-A, qm, q2)) % q2
+    assert cm % q == 0, "edge coefficient of H numerator must be divisible by q"
+    h[M] = cm // q % q
+
+    nega = (-A) % q
+    negb = (-B) % q
+    invb = pow(negb, -1, q)
+    binom = 1
+    powa = 1
+    powb = pow(negb, qm, q)
+    for i in range(1, qm):
+        binom = binom * (qm - i + 1) // i  # exact: C(qm, i)
+        powa = powa * nega % q
+        powb = powb * invb % q  # (-B)^(qm-i)
+        assert binom % q == 0, "q must divide C(qm, i) for 0 < i < qm"
+        c = binom // q * powa * powb % q
+        h[v * i] = (h[v * i] + c) % q
+    return g, h

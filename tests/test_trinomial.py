@@ -7,12 +7,15 @@ from hypothesis import given, settings, strategies as st
 from sympy import Poly, symbols, ZZ
 from sympy.polys.numberfields.basis import round_two
 
-from wallsunsun.errors import HypothesisError
-from wallsunsun.intmath import factorize, is_prime
+from wallsunsun.errors import HypothesisError, InconsistencyError
+from wallsunsun.intmath import factorize, is_prime, jacobi
 from wallsunsun.trinomial import (
     IndexVerdict,
     MonogenicityReport,
     Trinomial,
+    _case4_g_h,
+    _poly_gcd,
+    _valuation,
     discriminant_resultant,
     fp_discriminant,
     gh_coprimality,
@@ -23,7 +26,14 @@ from wallsunsun.trinomial import (
 )
 from wallsunsun.wss import validate_k
 
-from oracles import disc_from_resultant, sieve_primes, trinomial_coeffs
+from oracles import (
+    case4_gh_exact,
+    disc_from_resultant,
+    poly_gcd_mod,
+    poly_rem_mod,
+    sieve_primes,
+    trinomial_coeffs,
+)
 
 X = symbols("x")
 
@@ -147,6 +157,40 @@ def test_discriminant_identity_with_d_value():
         d_value, _ = index_d_value(t)
         sign = -1 if (t.N * (t.N - 1) // 2) % 2 else 1
         assert disc == sign * t.B ** (t.M - 1) * d_value**t.r, t
+
+
+def _grid(max_n, bound):
+    coeffs = [c for c in range(-bound, bound + 1) if c]
+    for n in range(2, max_n + 1):
+        for m in range(1, n):
+            for a in coeffs:
+                for b in coeffs:
+                    yield Trinomial(n, m, a, b)
+
+
+def test_swan_closed_form_equals_resultant_on_full_grid():
+    """disc = (-1)^(N(N-1)/2) B^(M-1) D^r for every N <= 12, |A|, |B| <= 6."""
+    count = 0
+    for t in _grid(12, 6):
+        d_value, _ = index_d_value(t)
+        sign = -1 if (t.N * (t.N - 1) // 2) % 2 else 1
+        assert sign * t.B ** (t.M - 1) * d_value**t.r == discriminant_resultant(t), t
+        count += 1
+    assert count == 9504
+
+
+def test_index_check_prime_without_discriminant_rejects_exactly_the_non_divisors():
+    """With discriminant= omitted, q | disc is decided by Swan's formula; it
+    must raise ValueError exactly for the primes the resultant rules out."""
+    primes = sieve_primes(50)
+    for t in _grid(8, 4):
+        disc = discriminant_resultant(t)
+        for q in primes:
+            if disc % q:
+                with pytest.raises(ValueError):
+                    index_check_prime(t, q)
+            else:
+                assert isinstance(index_check_prime(t, q), IndexVerdict), (t, q)
 
 
 # ----------------------------------------------------------- index criterion
@@ -278,6 +322,16 @@ def test_gh_coprimality_rejects_ramified_p():
         gh_coprimality(1, 5)  # 5 | 1 + 4
 
 
+def test_x2_minus_kx_minus_1_has_a_root_mod_p_iff_jacobi_says_square():
+    """Brute-force root search for G = x^2 - kx - 1 against jacobi(k^2+4, p)."""
+    for p in sieve_primes(100)[1:]:
+        for k in range(1, 3 * p):
+            if k % p == 0 or (k * k + 4) % p == 0:
+                continue
+            has_root = any((x * x - k * x - 1) % p == 0 for x in range(p))
+            assert has_root == (jacobi(k * k + 4, p) == 1), (k, p)
+
+
 # ------------------------------------------------------------ is_monogenic_fp
 
 
@@ -303,7 +357,7 @@ def test_is_monogenic_fp_enforces_hypotheses():
 
 def test_streaming_h_handles_a_heavy_ramified_pair():
     # 46^2+4 = 2120 = 2^3 * 5 * 53, so q = p = 53 takes the item-4 path
-    # with q^m = 53 and exercises the streamed binomial construction
+    # with q^m = 53, where G = x^2 - 46x - 1 has a double root mod 53
     k, p = 46, 53
     assert (k * k + 4) % p == 0
     assert is_monogenic_fp(k, p).monogenic
@@ -316,3 +370,54 @@ def test_is_monogenic_fp_rejects_all_composite_p(p):
         return
     with pytest.raises(ValueError):
         is_monogenic_fp(1, p)
+
+
+# -------------------------------------------------- case 4 by reduction mod G
+
+
+def _gcd_degree(gcd):
+    return len(gcd) - 1 if gcd else -1
+
+
+def _assert_case4_matches_exact_oracle(n, m, a, b, q, qm):
+    g, h_mod_g = _case4_g_h(n, m, a, b, q, qm)
+    g_exact, h_exact = case4_gh_exact(n, m, a, b, q, qm)
+    cell = (n, m, a, b, q, qm)
+    assert g == g_exact, cell
+    assert poly_rem_mod(h_mod_g, g, q) == poly_rem_mod(h_exact, g_exact, q), cell
+    degree = _gcd_degree(_poly_gcd(g, h_mod_g, q))
+    assert degree == _gcd_degree(poly_gcd_mod(g_exact, h_exact, q)), cell
+
+
+@given(st.sampled_from(sieve_primes(3100)), st.integers(min_value=1, max_value=10**6))
+@settings(deadline=None, max_examples=200, derandomize=True)
+def test_case4_reduction_matches_exact_oracle_on_fp_family(p, k):
+    """x^{2p} - k x^p - 1 at q = p, for p up to about 3000."""
+    if k % p == 0:
+        return
+    _assert_case4_matches_exact_oracle(2 * p, p, -k, -1, p, p)
+
+
+@given(
+    st.sampled_from([2, 3, 5, 7]),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=2, max_value=6),
+    st.data(),
+)
+@settings(deadline=None, max_examples=200, derandomize=True)
+def test_case4_reduction_matches_exact_oracle_on_general_trinomials(q, e, n0, data):
+    """q^e | gcd(N, M) with e <= 3, and q divides neither A nor B."""
+    m0 = data.draw(st.integers(min_value=1, max_value=n0 - 1))
+    coeff = st.integers(min_value=-50, max_value=50).filter(lambda c: c % q)
+    a, b = data.draw(coeff), data.draw(coeff)
+    n, m = q**e * n0, q**e * m0
+    qm = q ** min(_valuation(q, n), _valuation(q, m))
+    _assert_case4_matches_exact_oracle(n, m, a, b, q, qm)
+
+
+def test_case4_rejects_an_inconsistent_q_power():
+    # qm = 2 is no power of q = 3: the reduced numerator is x^2 + x + 1, which
+    # q does not divide. The check is explicit, so it also holds under -O.
+    with pytest.raises(InconsistencyError):
+        _case4_g_h(6, 3, 1, 1, 3, 2)
+
