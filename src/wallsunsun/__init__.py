@@ -20,17 +20,15 @@ from .intmath import (
     is_prime,
     is_squarefree,
     jacobi,
-    mod_pow,
 )
-from .lucas import companion_order, lucas_u, period_p_squared, pisano_period
-from .quadring import QuadElem, conjugate, eval_fp_alpha, ord_alpha, qr_mul, qr_pow
+from .lucas import lucas_u, period_p_squared, pisano_period
+from .quadring import QuadElem, conjugate, eval_fp_alpha
 from .trinomial import (
     IndexVerdict,
     MonogenicityReport,
     Trinomial,
     discriminant_resultant,
     fp_discriminant,
-    gh_coprimality,
     index_check_prime,
     index_d_value,
     is_monogenic_fp,
@@ -64,23 +62,17 @@ __all__ = [
     "is_prime",
     "is_squarefree",
     "jacobi",
-    "mod_pow",
-    "companion_order",
     "lucas_u",
     "period_p_squared",
     "pisano_period",
     "QuadElem",
     "conjugate",
     "eval_fp_alpha",
-    "ord_alpha",
-    "qr_mul",
-    "qr_pow",
     "IndexVerdict",
     "MonogenicityReport",
     "Trinomial",
     "discriminant_resultant",
     "fp_discriminant",
-    "gh_coprimality",
     "index_check_prime",
     "index_d_value",
     "is_monogenic_fp",

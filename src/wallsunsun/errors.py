@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 
 class HypothesisError(ValueError):
     """Raised when k fails the standing hypotheses (4 | k, or D not squarefree)."""
@@ -22,6 +24,12 @@ class FactorizationBudgetError(RuntimeError):
         super().__init__(message)
         self.cofactor = cofactor
         self.partial = partial
+
+    def __reduce__(self):
+        # The default reduction calls cls(message) and fails on the required
+        # keyword, so an error raised in a pool worker could not reach the parent.
+        rebuild = functools.partial(type(self), cofactor=self.cofactor, partial=self.partial)
+        return rebuild, self.args
 
 
 class InconsistencyError(RuntimeError):

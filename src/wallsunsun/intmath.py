@@ -32,14 +32,6 @@ _SMALL_PRIMES = (
 _WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)
 
 
-def mod_pow(base: int, exponent: int, modulus: int) -> int:
-    if modulus < 2:
-        raise ValueError(f"modulus must be >= 2, got {modulus}")
-    if exponent < 0:
-        raise ValueError(f"exponent must be >= 0, got {exponent}")
-    return pow(base, exponent, modulus)
-
-
 def jacobi(a: int, n: int) -> int:
     """Jacobi symbol (a/n) for odd n >= 1. Equals the Legendre symbol for prime n."""
     if n < 1 or n % 2 == 0:

@@ -68,8 +68,8 @@ def pisano_period(k: int, m: int) -> int:
             raise RuntimeError(f"period search exceeded {cap} steps")
 
 
-def period_p_squared(k: int, p: int) -> int:
-    """pi(p^2) for prime p.
+def _periods_p_p2(k: int, p: int) -> tuple[int, int]:
+    """(pi(p), pi(p^2)) for prime p, from one walk mod p.
 
     pi(p^2) is either pi(p) or p*pi(p), never anything else. It is
     therefore enough to test whether the mod-p period already closes
@@ -81,26 +81,10 @@ def period_p_squared(k: int, p: int) -> int:
         raise ValueError(f"p must be prime, got {p}")
     pi_p = pisano_period(k, p)
     if _u_pair(k, pi_p, p * p) == (0, 1):
-        return pi_p
-    return p * pi_p
+        return pi_p, pi_p
+    return pi_p, p * pi_p
 
 
-def companion_order(k: int, m: int) -> int:
-    """Order of C = [[0,1],[1,k]] mod m, by repeated multiplication.
-
-    Kept independent of pisano_period on purpose; tests cross-check the two.
-    """
-    _check_k(k)
-    _check_m(m)
-    ident = (1 % m, 0, 0, 1 % m)
-    cur = (0, 1 % m, 1 % m, k % m)
-    n = 1
-    cap = 2 * m * m + 4
-    while cur != ident:
-        a, b, c, d = cur
-        # right-multiply by [[0,1],[1,k]]
-        cur = (b, (a + k * b) % m, d, (c + k * d) % m)
-        n += 1
-        if n > cap:
-            raise RuntimeError(f"order search exceeded {cap} steps")
-    return n
+def period_p_squared(k: int, p: int) -> int:
+    """pi(p^2) for prime p."""
+    return _periods_p_p2(k, p)[1]

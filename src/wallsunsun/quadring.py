@@ -91,41 +91,9 @@ class QuadElem:
         return cls(c, 0, k, m)
 
 
-def qr_mul(x: QuadElem, y: QuadElem) -> QuadElem:
-    return x * y
-
-
-def qr_pow(x: QuadElem, exponent: int) -> QuadElem:
-    return x**exponent
-
-
 def conjugate(x: QuadElem) -> QuadElem:
     """Image under alpha -> k - alpha, so a + b*alpha -> (a + b*k) - b*alpha."""
     return QuadElem(x.a + x.b * x.k, -x.b, x.k, x.m)
-
-
-def ord_alpha(k: int, m: int, cap: int | None = None) -> int:
-    """Multiplicative order of alpha in R_m, by repeated multiplication.
-
-    Multiplying by alpha sends (a, b) to (b, a + k*b), the Lucas state map,
-    so this equals pisano_period(k, m); tests lean on that identity, which
-    is why the loop here stays independent of the lucas module.
-    """
-    if m < 2:
-        raise ValueError(f"m must be >= 2, got {m}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if cap is None:
-        cap = 2 * m * m + 4
-    a, b = 1, 0  # alpha^0
-    n = 0
-    while True:
-        a, b = b % m, (a + k * b) % m
-        n += 1
-        if b == 0 and a == 1 % m:
-            return n
-        if n > cap:
-            raise RuntimeError(f"order search exceeded {cap} steps")
 
 
 def eval_fp_alpha(k: int, p: int) -> QuadElem:

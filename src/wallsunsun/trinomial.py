@@ -5,7 +5,9 @@ every prime q dividing disc(f) either divides the index [Z_K : Z[theta]]
 or does not, and which one is decidable case by case from the divisibility
 pattern of (A, B, M) by q. f is monogenic exactly when no prime divides
 the index. The family F_p(x) = x^{2p} - k x^p - 1 is wired in specially:
-its non-monogenicity detects k-Wall-Sun-Sun primes.
+its non-monogenicity detects k-Wall-Sun-Sun primes. validate_k states
+the hypotheses on k that make every F_p irreducible; the package
+factors k^2+4 there and nowhere else.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import HypothesisError, InconsistencyError
-from .intmath import factorize, is_prime
+from .intmath import Factorization, factorize, is_prime
 
 
 @dataclass(frozen=True)
@@ -78,6 +80,53 @@ class MonogenicityReport:
     def discriminant(self) -> int:
         """disc(F_p) by the closed form, built only when read (over 2p log2 p bits)."""
         return fp_discriminant(-self.trinomial.A, self.trinomial.M)
+
+
+@dataclass(frozen=True)
+class WssHypotheses:
+    """The standing hypotheses on k, under which F_p is irreducible for every prime p.
+
+    factorization is the complete factorization of D = (k^2+4)/gcd(2,k)^2
+    that decided squarefree_ok.
+    """
+
+    k: int
+    d_value: int
+    four_ok: bool
+    squarefree_ok: bool
+    factorization: Factorization
+
+    @property
+    def satisfied(self) -> bool:
+        return self.four_ok and self.squarefree_ok
+
+    def require(self) -> "WssHypotheses":
+        """self when both hypotheses hold; HypothesisError naming the failed one otherwise."""
+        if not self.four_ok:
+            raise HypothesisError(f"k = {self.k} is divisible by 4")
+        if not self.squarefree_ok:
+            raise HypothesisError(f"D = {self.d_value} is not squarefree for k = {self.k}")
+        return self
+
+
+def validate_k(k: int, *, factor_budget: int | None = None) -> WssHypotheses:
+    """Check the two standing hypotheses on k, reporting both flags.
+
+    This is the one place k^2+4 is factored: callers that need its primes
+    read them from the returned factorization.
+    """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    g = 2 if k % 2 == 0 else 1
+    d = (k * k + 4) // (g * g)
+    factorization = factorize(d, budget=factor_budget)
+    return WssHypotheses(
+        k=k,
+        d_value=d,
+        four_ok=k % 4 != 0,
+        squarefree_ok=factorization.is_squarefree(),
+        factorization=factorization,
+    )
 
 
 def wss_trinomial(k: int, p: int) -> Trinomial:
@@ -345,46 +394,27 @@ def index_check_prime(
     return IndexVerdict(q, not ok, 5, detail)
 
 
-def gh_coprimality(k: int, p: int) -> bool:
-    """Case-4 coprimality for F_p at q = p: gcd(G, H) = 1 over F_p?
-
-    G = x^2 - kx - 1 and H = (-k x^p - 1 + (kx+1)^p)/p. True means p does
-    not divide the index of F_p, i.e. the trinomial stays monogenic at p.
-    Requires p prime with p not dividing k^2 + 4 (the ramified case is
-    decided by other means).
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    if (k * k + 4) % p == 0:
-        raise ValueError(f"p = {p} divides k^2+4; the G/H test does not apply")
-    g, h = _case4_g_h(2 * p, p, -k, -1, p, p)
-    gcd = _poly_gcd(g, h, p)
-    return len(gcd) == 1
-
-
 def is_monogenic_fp(
     k: int, p: int, *, factor_budget: int | None = None
 ) -> MonogenicityReport:
     """Full per-prime index scan of F_p = x^{2p} - k x^p - 1.
 
     Valid only under the standing hypotheses (4 does not divide k and
-    (k^2+4)/gcd(2,k)^2 squarefree), which guarantee irreducibility. The
-    discriminant's prime factors are p together with the primes of k^2+4,
-    read off the closed form, so no big-number factoring happens here. The
-    discriminant itself is not built: index_check_prime decides q | disc
-    by Swan's formula, and the report computes it only when read.
+    (k^2+4)/gcd(2,k)^2 squarefree), which guarantee irreducibility; they
+    are checked first. The discriminant's prime factors are p together
+    with the primes of k^2+4, read off the closed form. The discriminant
+    itself is not built: index_check_prime decides q | disc by Swan's
+    formula, and the report computes it only when read.
     """
-    from .wss import validate_k  # deferred; wss imports this module
+    return _monogenic_report(validate_k(k, factor_budget=factor_budget).require(), p)
 
-    hyp = validate_k(k, factor_budget=factor_budget)
-    if not hyp.four_ok:
-        raise HypothesisError(f"k = {k} is divisible by 4")
-    if not hyp.squarefree_ok:
-        raise HypothesisError(f"D = {hyp.d_value} is not squarefree for k = {k}")
-    t = wss_trinomial(k, p)  # validates p
-    qs = sorted({p} | set(factorize(k * k + 4, budget=factor_budget).primes()))
+
+def _monogenic_report(hyp: WssHypotheses, p: int) -> MonogenicityReport:
+    """is_monogenic_fp for a k whose hypotheses hold; factors nothing."""
+    t = wss_trinomial(hyp.k, p)  # validates p
+    # primes(k^2+4) = primes(D): D = k^2+4 for odd k, and for k = 2 mod 4,
+    # D = (k/2)^2 + 1 is even, so dividing by 4 loses no prime.
+    qs = sorted({p, *hyp.factorization.primes()})
     verdicts = tuple(index_check_prime(t, q) for q in qs)
     return MonogenicityReport(
         trinomial=t,

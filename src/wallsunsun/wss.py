@@ -17,25 +17,13 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .errors import CriterionUnsupportedError, HypothesisError, InconsistencyError
-from .intmath import is_prime, is_squarefree, jacobi
-from .lucas import lucas_u, pisano_period, period_p_squared
+from .errors import CriterionUnsupportedError, InconsistencyError
+from .intmath import is_prime, jacobi
+from .lucas import _periods_p_p2, lucas_u
 from .quadring import eval_fp_alpha
-from .trinomial import is_monogenic_fp
+from .trinomial import WssHypotheses, _monogenic_report, is_monogenic_fp, validate_k
 
 CRITERIA = ("period", "entry", "alpha", "monogenic", "all")
-
-
-@dataclass(frozen=True)
-class WssHypotheses:
-    k: int
-    d_value: int
-    four_ok: bool
-    squarefree_ok: bool
-
-    @property
-    def satisfied(self) -> bool:
-        return self.four_ok and self.squarefree_ok
 
 
 @dataclass(frozen=True)
@@ -58,29 +46,6 @@ class WssClassification:
         return self.by_period
 
 
-def validate_k(k: int, *, factor_budget: int | None = None) -> WssHypotheses:
-    """Check the two standing hypotheses on k, reporting both flags."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    g = 2 if k % 2 == 0 else 1
-    d = (k * k + 4) // (g * g)
-    return WssHypotheses(
-        k=k,
-        d_value=d,
-        four_ok=k % 4 != 0,
-        squarefree_ok=is_squarefree(d, budget=factor_budget),
-    )
-
-
-def _require_valid_k(k: int, factor_budget: int | None) -> WssHypotheses:
-    hyp = validate_k(k, factor_budget=factor_budget)
-    if not hyp.four_ok:
-        raise HypothesisError(f"k = {k} is divisible by 4")
-    if not hyp.squarefree_ok:
-        raise HypothesisError(f"D = {hyp.d_value} is not squarefree for k = {k}")
-    return hyp
-
-
 def delta_p(k: int, p: int) -> int:
     """Legendre symbol (k^2+4 | p) for odd prime p."""
     if k < 1:
@@ -93,7 +58,8 @@ def delta_p(k: int, p: int) -> int:
 
 
 def is_wss_by_period(k: int, p: int) -> bool:
-    return period_p_squared(k, p) == pisano_period(k, p)
+    pi_p, pi_p2 = _periods_p_p2(k, p)
+    return pi_p2 == pi_p
 
 
 def is_wss_by_entry(k: int, p: int) -> bool:
@@ -119,7 +85,7 @@ def is_wss_by_alpha(k: int, p: int, *, factor_budget: int | None = None) -> bool
         raise CriterionUnsupportedError(
             "alpha criterion needs p >= 3; use the period criterion at p = 2"
         )
-    _require_valid_k(k, factor_budget)
+    validate_k(k, factor_budget=factor_budget).require()
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     return eval_fp_alpha(k, p).is_zero()
@@ -137,11 +103,15 @@ def classify(k: int, p: int, *, factor_budget: int | None = None) -> WssClassifi
     between criteria raises InconsistencyError carrying the classification,
     since agreement is a theorem under the hypotheses.
     """
-    _require_valid_k(k, factor_budget)
+    return _classify(validate_k(k, factor_budget=factor_budget).require(), p)
+
+
+def _classify(hyp: WssHypotheses, p: int) -> WssClassification:
+    """classify for a k whose hypotheses hold; factors nothing."""
+    k = hyp.k
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    pi_p = pisano_period(k, p)
-    pi_p2 = period_p_squared(k, p)
+    pi_p, pi_p2 = _periods_p_p2(k, p)
     by_period = pi_p2 == pi_p
     if p == 2:
         delta, applicable = 0, False
@@ -152,7 +122,7 @@ def classify(k: int, p: int, *, factor_budget: int | None = None) -> WssClassifi
         by_entry = is_wss_by_entry(k, p)
         by_alpha = eval_fp_alpha(k, p).is_zero()
         derived = False
-    by_monogenic = is_wss_by_monogenicity(k, p, factor_budget=factor_budget)
+    by_monogenic = not _monogenic_report(hyp, p).monogenic
     consistent = by_period == by_entry == by_alpha == by_monogenic
     record = WssClassification(
         k=k,
@@ -209,37 +179,34 @@ def _primes_upto(limit: int) -> list[int]:
     return [n for n, f in enumerate(flags) if f]
 
 
-def _cell_is_hit(k: int, p: int, criterion: str, factor_budget: int | None) -> "SearchHit | None":
+def _cell_is_hit(k: int, p: int, hyp: WssHypotheses | None, criterion: str) -> SearchHit | None:
+    """The hit at (k, p), if any. hyp is validate_k(k) for the criteria that need it."""
     if criterion == "all":
-        c = classify(k, p, factor_budget=factor_budget)
+        c = _classify(hyp, p)
         if not c.is_wss:
             return None
         return SearchHit(k=k, p=p, pi_p=c.pi_p, pi_p2=c.pi_p2, classification=c)
-    if criterion == "period":
-        hit = is_wss_by_period(k, p)
-    elif criterion == "entry":
-        # the criterion is undefined at p = 2; ground truth there is the period
-        hit = is_wss_by_period(k, p) if p == 2 else is_wss_by_entry(k, p)
-    elif criterion == "alpha":
-        hit = (
-            is_wss_by_period(k, p)
-            if p == 2
-            else is_wss_by_alpha(k, p, factor_budget=factor_budget)
-        )
+    # entry and alpha are undefined at p = 2; ground truth there is the period
+    if criterion == "entry" and p != 2:
+        hit = is_wss_by_entry(k, p)
+    elif criterion == "alpha" and p != 2:
+        hit = eval_fp_alpha(k, p).is_zero()
     elif criterion == "monogenic":
-        hit = is_wss_by_monogenicity(k, p, factor_budget=factor_budget)
+        hit = not _monogenic_report(hyp, p).monogenic
     else:
-        raise ValueError(f"unknown criterion {criterion!r}")
+        pi_p, pi_p2 = _periods_p_p2(k, p)
+        return SearchHit(k=k, p=p, pi_p=pi_p, pi_p2=pi_p2) if pi_p == pi_p2 else None
     if not hit:
         return None
-    return SearchHit(k=k, p=p, pi_p=pisano_period(k, p), pi_p2=period_p_squared(k, p))
+    pi_p, pi_p2 = _periods_p_p2(k, p)
+    return SearchHit(k=k, p=p, pi_p=pi_p, pi_p2=pi_p2)
 
 
 def _search_chunk(args: tuple) -> list[SearchHit]:
-    cells, criterion, factor_budget = args
+    cells, criterion = args
     out = []
-    for k, p in cells:
-        hit = _cell_is_hit(k, p, criterion, factor_budget)
+    for k, p, hyp in cells:
+        hit = _cell_is_hit(k, p, hyp, criterion)
         if hit is not None:
             out.append(hit)
     return out
@@ -271,29 +238,28 @@ def search(
     if criterion not in CRITERIA:
         raise ValueError(f"criterion must be one of {CRITERIA}, got {criterion!r}")
 
+    # The cells of a k get its hypotheses from here, so workers never factor.
     needs_hypotheses = criterion in ("alpha", "monogenic", "all")
     skipped = []
-    scan_ks = []
+    scan = []
     for k in range(k_min, k_max + 1):
-        if needs_hypotheses and not validate_k(k, factor_budget=factor_budget).satisfied:
-            skipped.append(k)
+        hyp = validate_k(k, factor_budget=factor_budget) if needs_hypotheses else None
+        if hyp is None or hyp.satisfied:
+            scan.append((k, hyp))
         else:
-            scan_ks.append(k)
+            skipped.append(k)
     primes = _primes_upto(p_max)
-    cells = [(k, p) for k in scan_ks for p in primes]
+    cells = [(k, p, hyp) for k, hyp in scan for p in primes]
 
     if jobs is None:
         jobs = os.cpu_count() or 1
     hits: list[SearchHit] = []
     if jobs <= 1 or len(cells) <= 1:
-        hits = _search_chunk((cells, criterion, factor_budget))
+        hits = _search_chunk((cells, criterion))
     else:
         nchunks = min(len(cells), jobs * 4)
         size = -(-len(cells) // nchunks)
-        chunks = [
-            (cells[i : i + size], criterion, factor_budget)
-            for i in range(0, len(cells), size)
-        ]
+        chunks = [(cells[i : i + size], criterion) for i in range(0, len(cells), size)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for part in pool.map(_search_chunk, chunks):
                 hits.extend(part)

@@ -21,6 +21,10 @@ from wallsunsun.cli import SCHEMA_VERSION, main
 from wallsunsun.trinomial import fp_discriminant
 
 HARD_K = "4001742"  # see test_wss.py: rho-hard hypothesis quantity
+# k = 2 mod 4 whose D = (k^2+4)/4 factors within 300 rho iterations while
+# k^2+4, whose rho is seeded differently, does not: a command that factored
+# k^2+4 again after validate_k ran out of budget on a valid k.
+RHO_SEED_K = "19816596295742"
 
 
 def run_cli(capsys, *argv):
@@ -207,6 +211,13 @@ def test_budget_flag_beats_env(capsys, monkeypatch):
     code, _, _ = run_cli(capsys, "check", "--k", HARD_K, "--p", "3",
                          "--factor-budget", str(10**7))
     assert code == 0
+
+
+def test_budget_that_validates_k_also_completes_the_command(capsys):
+    doc = run_json(capsys, "check", "--k", RHO_SEED_K, "--p", "3", "--factor-budget", "300")
+    assert doc["result"]["consistent"] is True
+    doc = run_json(capsys, "monogenic", "--k", RHO_SEED_K, "--p", "3", "--factor-budget", "300")
+    assert doc["result"]["monogenic"] is True
 
 
 def test_malformed_budget_env_is_invalid_arguments(capsys, monkeypatch):

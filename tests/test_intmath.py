@@ -1,6 +1,9 @@
-"""Integer arithmetic layer: modular power, Jacobi, primality, factoring."""
+"""Integer arithmetic layer: Jacobi, primality, factoring."""
 
+import multiprocessing
+import pickle
 import random
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,41 +17,11 @@ from wallsunsun.intmath import (
     is_prime,
     is_squarefree,
     jacobi,
-    mod_pow,
 )
 
 from oracles import legendre_euler, sieve_primes, squarefree_slow, trial_factor
 
 PRIMES_1000 = sieve_primes(1000)
-
-
-# ---------------------------------------------------------------- mod_pow
-
-
-def test_mod_pow_matches_builtin_small_grid():
-    # full grid base, exp <= 100, m <= 97 per the module contract
-    for m in (2, 3, 10, 96, 97):
-        for base in range(0, 101, 7):
-            for exp in range(0, 101, 9):
-                assert mod_pow(base, exp, m) == pow(base, exp, m)
-
-
-@given(
-    base=st.integers(min_value=-(10**12), max_value=10**12),
-    exp=st.integers(min_value=0, max_value=10**6),
-    m=st.integers(min_value=2, max_value=10**9),
-)
-def test_mod_pow_matches_builtin_wide(base, exp, m):
-    assert mod_pow(base, exp, m) == pow(base, exp, m)
-
-
-def test_mod_pow_rejects_bad_modulus_and_exponent():
-    with pytest.raises(ValueError):
-        mod_pow(2, 3, 1)
-    with pytest.raises(ValueError):
-        mod_pow(2, 3, 0)
-    with pytest.raises(ValueError):
-        mod_pow(2, -1, 7)
 
 
 # ---------------------------------------------------------------- jacobi
@@ -212,6 +185,26 @@ def test_factorize_budget_error_carries_partial_progress():
         factorize(d, budget=10)
     assert (97, 1) in exc.value.partial
     assert exc.value.cofactor == 1150949 * 3475949
+
+
+def test_factorize_budget_error_survives_pickling():
+    err = FactorizationBudgetError("budget gone", cofactor=15, partial=((7, 2),))
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is FactorizationBudgetError
+    assert (str(back), back.cofactor, back.partial) == ("budget gone", 15, ((7, 2),))
+
+
+def test_factorize_budget_error_crosses_the_process_pool_boundary():
+    """Raised in a worker, the error reaches the parent with its type and payload."""
+    d = 97 * 1150949 * 3475949
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=2, mp_context=spawn) as pool:
+        futures = [pool.submit(factorize, d, budget=10), pool.submit(factorize, 360)]
+        with pytest.raises(FactorizationBudgetError) as exc:
+            futures[0].result(timeout=60)
+        assert futures[1].result(timeout=60).factors == ((2, 3), (3, 2), (5, 1))
+    assert exc.value.cofactor == 1150949 * 3475949
+    assert exc.value.partial == ((97, 1),)
 
 
 def test_factorize_rejects_nonpositive():

@@ -6,12 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wallsunsun.intmath import jacobi
-from wallsunsun.lucas import (
-    companion_order,
-    lucas_u,
-    period_p_squared,
-    pisano_period,
-)
+from wallsunsun.lucas import lucas_u, period_p_squared, pisano_period
 
 from oracles import matrix_order, sieve_primes, state_period, u_term
 
@@ -128,6 +123,8 @@ def test_pisano_period_validation():
 
 
 # ------------------------------------------------------------ companion_order
+# pi(m) is also the order of the companion matrix [[k,1],[1,0]] mod m; the
+# matrix oracle computes that order without the state walk.
 
 
 def test_companion_order_equals_pisano_period_sampled_grid():
@@ -137,18 +134,21 @@ def test_companion_order_equals_pisano_period_sampled_grid():
     cells = [(k, m) for k in range(1, 31) for m in range(2, 41)]
     cells += [(rng.randrange(1, 31), rng.randrange(41, 501)) for _ in range(60)]
     for k, m in cells:
-        assert companion_order(k, m) == pisano_period(k, m), (k, m)
+        assert matrix_order(k, m) == pisano_period(k, m), (k, m)
 
 
 def test_companion_order_defined_at_m_2():
     for k in range(1, 31):
-        assert companion_order(k, 2) == pisano_period(k, 2)
+        assert matrix_order(k, 2) == pisano_period(k, 2) == (2 if k % 2 == 0 else 3), k
 
 
 def test_companion_order_against_independent_matrix_oracle():
+    """At prime squares: the direct walk, the p^2 dichotomy and the matrix order agree."""
     for k in (1, 2, 3, 9):
-        for m in (3, 5, 8, 13, 100):
-            assert companion_order(k, m) == matrix_order(k, m)
+        for p in (3, 5, 13):
+            expected = matrix_order(k, p * p)
+            assert pisano_period(k, p * p) == expected, (k, p)
+            assert period_p_squared(k, p) == expected, (k, p)
 
 
 # --------------------------------------------------------- period_p_squared

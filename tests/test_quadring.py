@@ -7,17 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from wallsunsun.intmath import jacobi
 from wallsunsun.lucas import lucas_u, pisano_period
-from wallsunsun.quadring import (
-    QuadElem,
-    conjugate,
-    eval_fp_alpha,
-    ord_alpha,
-    qr_mul,
-    qr_pow,
-)
+from wallsunsun.quadring import QuadElem, conjugate, eval_fp_alpha
 from wallsunsun.wss import validate_k
 
-from oracles import sieve_primes
+from oracles import sieve_primes, trial_factor
 
 RNG = random.Random(0xA1FA)
 ODD_PRIMES_200 = [p for p in sieve_primes(200) if p >= 3]
@@ -89,9 +82,11 @@ def test_ring_axioms_on_seeded_samples():
     coords=st.tuples(*[st.integers(min_value=0, max_value=10**6)] * 6),
 )
 def test_mul_commutes_and_matches_functional_form(k, m, coords):
-    x = QuadElem(coords[0], coords[1], k, m)
-    y = QuadElem(coords[2], coords[3], k, m)
-    assert qr_mul(x, y) == y * x
+    a1, b1, a2, b2 = coords[:4]
+    x = QuadElem(a1, b1, k, m)
+    y = QuadElem(a2, b2, k, m)
+    # (a1 + b1 t)(a2 + b2 t) with t^2 = k t + 1
+    assert x * y == y * x == QuadElem(a1 * a2 + b1 * b2, a1 * b2 + a2 * b1 + k * b1 * b2, k, m)
 
 
 def test_alpha_is_a_unit():
@@ -167,11 +162,6 @@ def test_pow_rejects_negative_exponent():
         QuadElem.alpha(1, 5) ** -1
 
 
-def test_qr_pow_agrees_with_operator():
-    x = QuadElem(3, 4, 2, 29)
-    assert qr_pow(x, 17) == x**17
-
-
 def test_alpha_order_laws_on_prime_grid():
     for k in VALID_K_30:
         d = k * k + 4
@@ -188,9 +178,14 @@ def test_alpha_order_laws_on_prime_grid():
 
 
 def test_ord_alpha_equals_pisano_period():
+    """alpha^pi(m) is one and alpha^(pi/q) is not, for each prime q | pi(m)."""
     for k in range(1, 16):
         for m in (2, 3, 4, 5, 9, 25, 97, 120):
-            assert ord_alpha(k, m) == pisano_period(k, m), (k, m)
+            pi = pisano_period(k, m)
+            alpha = QuadElem.alpha(k, m)
+            assert (alpha**pi).is_one(), (k, m)
+            for q in trial_factor(pi):
+                assert not (alpha ** (pi // q)).is_one(), (k, m, q)
 
 
 # ------------------------------------------------------------ eval_fp_alpha

@@ -18,13 +18,12 @@ from wallsunsun.trinomial import (
     _valuation,
     discriminant_resultant,
     fp_discriminant,
-    gh_coprimality,
     index_check_prime,
     index_d_value,
     is_monogenic_fp,
+    validate_k,
     wss_trinomial,
 )
-from wallsunsun.wss import validate_k
 
 from oracles import (
     case4_gh_exact,
@@ -32,6 +31,7 @@ from oracles import (
     poly_gcd_mod,
     poly_rem_mod,
     sieve_primes,
+    trial_factor,
     trinomial_coeffs,
 )
 
@@ -272,9 +272,15 @@ def test_index_criterion_validation():
 # ------------------------------------------------- wss-family invariant sweep
 
 
+def _gh_coprime_exact(k, p):
+    """gcd(G, H) = 1 over F_p for F_p at q = p, with H built in full by the oracle."""
+    g, h = case4_gh_exact(2 * p, p, -k, -1, p, p)
+    return len(poly_gcd_mod(g, h, p)) == 1
+
+
 def test_only_p_can_divide_the_index_under_hypotheses():
     """Sweep valid k <= 30, p <= 50: any q != p always gets a clean verdict,
-    and the verdict at p matches the G/H coprimality shortcut."""
+    and the verdict at p matches the exact G/H coprimality oracle."""
     for k in range(1, 31):
         if not validate_k(k).satisfied:
             continue
@@ -288,7 +294,7 @@ def test_only_p_can_divide_the_index_under_hypotheses():
                     assert not v.divides_index, (k, p, q)
             assert report.monogenic == (not by_q[p].divides_index)
             if p >= 3 and d % p != 0:
-                assert gh_coprimality(k, p) == (not by_q[p].divides_index), (k, p)
+                assert _gh_coprime_exact(k, p) == (not by_q[p].divides_index), (k, p)
 
 
 def test_ramified_primes_yield_monogenic():
@@ -314,12 +320,11 @@ def test_ramified_primes_yield_monogenic():
     ],
 )
 def test_gh_coprimality_known(k, p, coprime):
-    assert gh_coprimality(k, p) is coprime
-
-
-def test_gh_coprimality_rejects_ramified_p():
-    with pytest.raises(ValueError):
-        gh_coprimality(1, 5)  # 5 | 1 + 4
+    """Case 4 at q = p decides the G/H coprimality; the exact oracle agrees."""
+    v = index_check_prime(wss_trinomial(k, p), p)
+    assert v.item_used == 4
+    assert v.divides_index is not coprime
+    assert _gh_coprime_exact(k, p) is coprime
 
 
 def test_x2_minus_kx_minus_1_has_a_root_mod_p_iff_jacobi_says_square():
@@ -361,6 +366,20 @@ def test_streaming_h_handles_a_heavy_ramified_pair():
     k, p = 46, 53
     assert (k * k + 4) % p == 0
     assert is_monogenic_fp(k, p).monogenic
+
+
+def test_hypotheses_carry_the_primes_of_k2_plus_4():
+    """For every valid k <= 3000 the carried factorization of D has exactly the
+    primes of k^2+4, and the scan visits exactly p and those primes."""
+    for k in range(1, 3001):
+        hyp = validate_k(k)
+        if not hyp.satisfied:
+            continue
+        primes = sorted(trial_factor(k * k + 4))
+        assert list(hyp.factorization.primes()) == primes, k
+        for p in (3, primes[-1]):
+            qs = [v.q for v in is_monogenic_fp(k, p).verdicts]
+            assert qs == sorted({p, *primes}), (k, p)
 
 
 @given(st.integers(min_value=2, max_value=200))

@@ -1,8 +1,12 @@
 """Hypothesis validation, the four criteria, classify, and search."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import wallsunsun
+from wallsunsun import cli, intmath, lucas, quadring, trinomial, wss
 from wallsunsun.errors import (
     CriterionUnsupportedError,
     FactorizationBudgetError,
@@ -220,6 +224,14 @@ def test_inconsistency_error_carries_classification():
     assert err.classification == {"k": 1}
 
 
+def test_inconsistency_error_keeps_classification_across_pickling():
+    record = classify(2, 13)
+    back = pickle.loads(pickle.dumps(InconsistencyError("criteria disagree", classification=record)))
+    assert type(back) is InconsistencyError
+    assert str(back) == "criteria disagree"
+    assert back.classification == record
+
+
 # -------------------------------------------------------------------- search
 
 
@@ -296,3 +308,61 @@ def test_search_agrees_with_pointwise_period_check(k, p_idx):
     p = sieve_primes(100)[p_idx]
     res = search(k, k, p, "period")
     assert ((k, p) in [(h.k, h.p) for h in res.hits]) == is_wss_by_period(k, p)
+
+
+# ---------------------------------------------------------- work per k and cell
+
+
+def _record_calls(monkeypatch, fn):
+    """Replace every binding of fn in the package with a wrapper that logs its positional args."""
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(args if len(args) > 1 else args[0])
+        return fn(*args, **kwargs)
+
+    for mod in (wallsunsun, cli, intmath, lucas, quadring, trinomial, wss):
+        for name, value in list(vars(mod).items()):
+            if value is fn:
+                monkeypatch.setattr(mod, name, recording)
+    return calls
+
+
+@pytest.fixture
+def factorize_calls(monkeypatch):
+    """The n of every factorize call, in order."""
+    return _record_calls(monkeypatch, intmath.factorize)
+
+
+@pytest.fixture
+def period_walks(monkeypatch):
+    """The (k, m) of every pisano_period walk, in order."""
+    return _record_calls(monkeypatch, lucas.pisano_period)
+
+
+def test_each_public_criterion_factors_once_per_call(factorize_calls):
+    classify(2, 13)
+    assert factorize_calls == [2]
+    is_monogenic_fp(3, 13)
+    assert factorize_calls == [2, 13]
+    is_wss_by_alpha(5, 11)
+    assert factorize_calls == [2, 13, 29]
+
+
+@pytest.mark.parametrize("criterion", ["alpha", "monogenic", "all"])
+def test_search_factors_once_per_k(factorize_calls, criterion):
+    search(1, 10, 60, criterion, jobs=1)
+    assert factorize_calls == [(k * k + 4) // (4 if k % 2 == 0 else 1) for k in range(1, 11)]
+
+
+@pytest.mark.parametrize("criterion", ["period", "all"])
+def test_search_walks_each_period_once_per_cell(period_walks, criterion):
+    res = search(1, 10, 60, criterion, jobs=1)
+    cells = [(k, p) for k in range(1, 11) if k not in res.skipped_k for p in sieve_primes(60)]
+    assert period_walks == cells
+
+
+def test_period_criterion_and_classify_walk_once(period_walks):
+    is_wss_by_period(2, 13)
+    classify(2, 13)
+    assert period_walks == [(2, 13), (2, 13)]
