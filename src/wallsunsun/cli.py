@@ -158,8 +158,9 @@ def cmd_monogenic(args) -> int:
 
 
 def cmd_period(args) -> int:
+    budget = _resolve_budget(args)
     t0 = time.perf_counter()
-    pi = pisano_period(args.k, args.m)
+    pi = pisano_period(args.k, args.m, factor_budget=budget)
     ms = (time.perf_counter() - t0) * 1000
     text = [f"pi({args.m}) = {pi} for k={args.k}"]
     _emit(args, "period", {"k": args.k, "m": args.m}, {"pi": pi}, text, ms)

@@ -70,6 +70,9 @@ def is_prime(n: int) -> bool:
             return True
         if n % p == 0:
             return False
+    if n < 101 * 101:
+        # a composite this small has a prime factor <= 97, and none divides n
+        return True
     d = n - 1
     s = 0
     while d % 2 == 0:
@@ -172,7 +175,7 @@ def factorize(n: int, *, budget: int | None = None) -> Factorization:
         n = 1
     # anything left is > 10**12 with no factor below 10**6
     stack = [n] if n > 1 else []
-    rng = random.Random(original)
+    rng = None  # seeded by original on first use, so results stay reproducible
     remaining = budget
     while stack:
         m = stack.pop()
@@ -185,6 +188,8 @@ def factorize(n: int, *, budget: int | None = None) -> Factorization:
         if root * root == m:
             stack.extend((root, root))
             continue
+        if rng is None:
+            rng = random.Random(original)
         f, used = _pollard_rho(m, rng, remaining)
         remaining -= used
         if f == m:

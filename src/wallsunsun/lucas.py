@@ -3,11 +3,22 @@
 U_0 = 0, U_1 = 1, U_n = k*U_{n-1} + U_{n-2}. k = 1 is Fibonacci, k = 2 is
 Pell. The period pi(m) is the least T > 0 with (U_T, U_{T+1}) = (0, 1) mod m,
 which is also the order of the companion matrix C = [[0,1],[1,k]] mod m.
+
+Periods are found by order finding on a known multiple rather than by
+walking the sequence. For a prime q, pi(q) divides q - 1, 2(q + 1) or 4q as
+the Legendre symbol (k^2+4 | q) is 1, -1 or 0, and pi(2) divides 6 (Wall,
+"Fibonacci series modulo m", 1960). pi(q^e) divides pi(q) * q^(e-1), and
+pi(m) is the lcm of the pi(q^e) over q^e || m. Factoring m and each of
+those multiples, then dividing the lcm by its primes while fast doubling
+still returns (0, 1), costs O(log^2 m) ring operations plus the factoring.
 """
 
 from __future__ import annotations
 
-from .intmath import is_prime
+import math
+
+from .errors import InconsistencyError
+from .intmath import Factorization, factorize, is_prime, jacobi
 
 
 def _check_k(k: int) -> None:
@@ -47,39 +58,53 @@ def lucas_u(k: int, n: int, m: int) -> int:
     return _u_pair(k, n, m)[0]
 
 
-def pisano_period(k: int, m: int) -> int:
-    """Least period of (U_n) mod m, by direct state iteration.
+def _prime_multiple(k: int, q: int, factor_budget: int | None) -> Factorization:
+    """The factorization of Wall's multiple of pi(q) for prime q."""
+    if q == 2:
+        multiple = 6
+    else:
+        multiple = {1: q - 1, -1: 2 * (q + 1), 0: 4 * q}[jacobi(k * k + 4, q)]
+    return factorize(multiple, budget=factor_budget)
 
-    The state map (a, b) -> (b, k*b + a) is invertible mod m, so the orbit
-    of (0, 1) is a pure cycle and the loop below terminates in fewer than
-    m^2 steps.
+
+def pisano_period(k: int, m: int, *, factor_budget: int | None = None) -> int:
+    """Least period of (U_n) mod m, by order finding on Wall's multiple.
+
+    factor_budget caps the rho iterations of each factoring step, as in
+    factorize; running out raises FactorizationBudgetError.
     """
     _check_k(k)
     _check_m(m)
-    a, b = 0, 1
-    n = 0
-    cap = 2 * m * m + 4
-    while True:
-        a, b = b, (k * b + a) % m
-        n += 1
-        if a == 0 and b == 1:
-            return n
-        if n > cap:  # unreachable, the orbit size is below m^2
-            raise RuntimeError(f"period search exceeded {cap} steps")
+    exponents: dict[int, int] = {}
+    for q, e in factorize(m, budget=factor_budget).factors:
+        piece = dict(_prime_multiple(k, q, factor_budget).factors)
+        piece[q] = piece.get(q, 0) + e - 1
+        for r, a in piece.items():
+            exponents[r] = max(exponents.get(r, 0), a)
+    period = math.prod(r**a for r, a in exponents.items())
+    if _u_pair(k, period, m) != (0, 1):
+        raise InconsistencyError(
+            f"the sequence for k={k} does not close mod {m} at the multiple {period}"
+        )
+    for r, a in exponents.items():
+        for _ in range(a):
+            if _u_pair(k, period // r, m) != (0, 1):
+                break
+            period //= r
+    return period
 
 
-def _periods_p_p2(k: int, p: int) -> tuple[int, int]:
-    """(pi(p), pi(p^2)) for prime p, from one walk mod p.
+def _periods_p_p2(k: int, p: int, *, factor_budget: int | None = None) -> tuple[int, int]:
+    """(pi(p), pi(p^2)) for prime p, from one mod-p period.
 
     pi(p^2) is either pi(p) or p*pi(p), never anything else. It is
     therefore enough to test whether the mod-p period already closes
-    mod p^2, which fast doubling answers in O(log p) ring operations
-    instead of the p*pi(p) steps a direct walk could take.
+    mod p^2, which fast doubling answers in O(log p) ring operations.
     """
     _check_k(k)
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    pi_p = pisano_period(k, p)
+    pi_p = pisano_period(k, p, factor_budget=factor_budget)
     if _u_pair(k, pi_p, p * p) == (0, 1):
         return pi_p, pi_p
     return pi_p, p * pi_p

@@ -103,15 +103,18 @@ def classify(k: int, p: int, *, factor_budget: int | None = None) -> WssClassifi
     between criteria raises InconsistencyError carrying the classification,
     since agreement is a theorem under the hypotheses.
     """
-    return _classify(validate_k(k, factor_budget=factor_budget).require(), p)
+    hyp = validate_k(k, factor_budget=factor_budget).require()
+    return _classify(hyp, p, factor_budget=factor_budget)
 
 
-def _classify(hyp: WssHypotheses, p: int) -> WssClassification:
-    """classify for a k whose hypotheses hold; factors nothing."""
+def _classify(
+    hyp: WssHypotheses, p: int, *, factor_budget: int | None = None
+) -> WssClassification:
+    """classify for a k whose hypotheses hold; factors only for the period of p."""
     k = hyp.k
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    pi_p, pi_p2 = _periods_p_p2(k, p)
+    pi_p, pi_p2 = _periods_p_p2(k, p, factor_budget=factor_budget)
     by_period = pi_p2 == pi_p
     if p == 2:
         delta, applicable = 0, False

@@ -2,11 +2,13 @@
 
 import importlib.metadata
 import json
+import math
 import os
 import shutil
 import subprocess
 import sys
 import sysconfig
+import time
 from pathlib import Path
 
 import pytest
@@ -18,6 +20,7 @@ else:  # pytest depends on tomli below 3.11
 
 import wallsunsun
 from wallsunsun.cli import SCHEMA_VERSION, main
+from wallsunsun.lucas import pisano_period
 from wallsunsun.trinomial import fp_discriminant
 
 HARD_K = "4001742"  # see test_wss.py: rho-hard hypothesis quantity
@@ -25,6 +28,12 @@ HARD_K = "4001742"  # see test_wss.py: rho-hard hypothesis quantity
 # k^2+4, whose rho is seeded differently, does not: a command that factored
 # k^2+4 again after validate_k ran out of budget on a valid k.
 RHO_SEED_K = "19816596295742"
+# 1000003 * 1000033: no factor below trial division's 10^6 ceiling, so
+# factoring it takes rho iterations.
+SEMIPRIME_M = "1000036000099"
+# 2 * 1000037 * 1000117 + 1: a prime whose Wall multiple p - 1 (k = 1) takes
+# rho iterations to factor.
+RHO_PERIOD_P = "2000308008659"
 
 
 def run_cli(capsys, *argv):
@@ -110,6 +119,36 @@ def test_period_command_matches_library(capsys):
     doc = run_json(capsys, "period", "--k", "1", "--m", "25")
     assert doc["inputs"] == {"k": 1, "m": 25}
     assert doc["result"] == {"pi": 100}
+
+
+def test_period_of_a_large_prime_is_immediate(capsys):
+    t0 = time.perf_counter()
+    doc = run_json(capsys, "period", "--k", "1", "--m", "1000000007")
+    assert time.perf_counter() - t0 < 1.0
+    assert doc["result"] == {"pi": 2000000016}
+
+
+def test_period_honours_the_factor_budget(capsys, monkeypatch):
+    code, out, err = run_cli(
+        capsys, "period", "--k", "1", "--m", SEMIPRIME_M, "--factor-budget", "1"
+    )
+    assert (code, out) == (4, "")
+    assert "budget" in err.lower()
+    monkeypatch.setenv("WSS_FACTOR_BUDGET", "1")
+    assert run_cli(capsys, "period", "--k", "1", "--m", SEMIPRIME_M)[0] == 4
+    doc = run_json(capsys, "period", "--k", "1", "--m", SEMIPRIME_M, "--factor-budget", str(10**7))
+    expected = math.lcm(pisano_period(1, 1000003), pisano_period(1, 1000033))
+    assert doc["result"] == {"pi": expected}
+
+
+def test_check_budget_also_bounds_the_period(capsys):
+    code, out, err = run_cli(
+        capsys, "check", "--k", "1", "--p", RHO_PERIOD_P, "--factor-budget", "1"
+    )
+    assert (code, out) == (4, "")
+    assert "budget" in err.lower()
+    doc = run_json(capsys, "check", "--k", "1", "--p", RHO_PERIOD_P)
+    assert doc["result"]["consistent"] is True
 
 
 def test_discriminant_command_cross_checks(capsys):

@@ -4,10 +4,12 @@ import multiprocessing
 import pickle
 import random
 from concurrent.futures import ProcessPoolExecutor
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wallsunsun import intmath
 from wallsunsun.errors import FactorizationBudgetError
 from wallsunsun.intmath import (
     DEFAULT_FACTOR_BUDGET,
@@ -73,10 +75,11 @@ def test_jacobi_rejects_even_or_nonpositive_denominator():
 # ---------------------------------------------------------------- is_prime
 
 
-def test_is_prime_matches_sieve_to_100k():
-    limit = 100_000
+def test_is_prime_matches_sieve_below_2e5():
+    """Covers the early return below 101^2 and the Miller-Rabin path above it."""
+    limit = 200_000
     truth = set(sieve_primes(limit))
-    for n in range(limit + 1):
+    for n in range(limit):
         assert is_prime(n) == (n in truth), n
 
 
@@ -169,6 +172,18 @@ def test_factorize_large_semiprime_needs_rho():
     # both primes sit above the trial-division ceiling
     p, q = 1_000_000_007, 1_000_000_009
     assert factorize(p * q).factors == ((p, 1), (q, 1))
+
+
+def test_factorize_builds_no_rho_generator_unless_rho_runs(monkeypatch):
+    def refuse(seed):
+        raise AssertionError(f"rho generator built for {seed}")
+
+    monkeypatch.setattr(intmath, "random", SimpleNamespace(Random=refuse))
+    # trial division alone, a prime cofactor above 10^12, a square cofactor
+    p = 1_000_000_000_039
+    assert factorize(3000).factors == ((2, 3), (3, 1), (5, 3))
+    assert factorize(p).factors == ((p, 1),)
+    assert factorize(3 * p * p).factors == ((3, 1), (p, 2))
 
 
 def test_factorize_budget_exhaustion_is_loud():

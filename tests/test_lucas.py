@@ -3,16 +3,19 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from wallsunsun import lucas
+from wallsunsun.errors import InconsistencyError
 from wallsunsun.intmath import jacobi
 from wallsunsun.lucas import lucas_u, period_p_squared, pisano_period
 
-from oracles import matrix_order, sieve_primes, state_period, u_term
+from oracles import is_wss_brute, matrix_order, sieve_primes, state_period, trial_factor, u_term
 
 RNG_SEED = 0x5EED
 PRIMES_200 = sieve_primes(200)
 PRIMES_50 = sieve_primes(50)
+PRIMES_2000 = frozenset(sieve_primes(2000))
 
 
 # ---------------------------------------------------------------- lucas_u
@@ -99,11 +102,54 @@ def test_period_base_cases_odd_k():
 
 
 def test_pisano_period_matches_state_walk_oracle():
-    rng = random.Random(RNG_SEED)
-    cells = [(k, m) for k in range(1, 31) for m in range(2, 61)]
-    cells += [(rng.randrange(1, 31), rng.randrange(61, 501)) for _ in range(120)]
-    for k, m in cells:
-        assert pisano_period(k, m) == state_period(k, m), (k, m)
+    """Every k < 40 and 2 <= m < 400, composite m included."""
+    for k in range(1, 40):
+        for m in range(2, 400):
+            assert pisano_period(k, m) == state_period(k, m), (k, m)
+
+
+@given(st.sampled_from(sieve_primes(10**4)), st.integers(min_value=1, max_value=10**6))
+@settings(deadline=None, max_examples=60, derandomize=True)
+def test_pisano_period_at_primes_to_10_4_matches_state_walk(p, k):
+    assert pisano_period(k, p) == state_period(k, p), (k, p)
+
+
+@given(
+    st.integers(min_value=1, max_value=60),
+    st.sampled_from(["two", "ramified", "small"]),
+    st.data(),
+)
+@settings(deadline=None, max_examples=80, derandomize=True)
+def test_pisano_period_at_prime_powers_matches_state_walk(k, kind, data):
+    """q^e below 5000 for q = 2, q | k^2+4 (the 4q multiple) and small q."""
+    if kind == "two":
+        q = 2
+    elif kind == "ramified":
+        q = data.draw(st.sampled_from(sorted(trial_factor(k * k + 4))))
+    else:
+        q = data.draw(st.sampled_from(PRIMES_50))
+    top = 1
+    while q ** (top + 1) < 5000:
+        top += 1
+    m = q ** data.draw(st.integers(min_value=1, max_value=top))
+    assert pisano_period(k, m) == state_period(k, m), (k, m)
+
+
+@given(
+    st.integers(min_value=1, max_value=10**6),
+    st.integers(min_value=4, max_value=1999).filter(lambda m: m not in PRIMES_2000),
+)
+@settings(deadline=None, max_examples=80, derandomize=True)
+def test_pisano_period_at_composites_below_2000_matches_state_walk(k, m):
+    assert pisano_period(k, m) == state_period(k, m), (k, m)
+
+
+def test_pisano_period_refuses_a_multiple_that_does_not_close(monkeypatch):
+    # With the symbol forced to 1, pi(7) = 16 for k = 1 is sought in 6. The
+    # check is explicit, so it also holds under -O.
+    monkeypatch.setattr(lucas, "jacobi", lambda a, n: 1)
+    with pytest.raises(InconsistencyError):
+        pisano_period(1, 7)
 
 
 def test_pisano_period_divides_composite_structure():
@@ -161,6 +207,22 @@ def test_period_p_squared_dichotomy_and_brute_force():
             pi_p = pisano_period(k, p)
             assert got in (pi_p, p * pi_p), (k, p)
             assert got == state_period(k, p * p), (k, p)
+
+
+@given(st.sampled_from(sieve_primes(2000)), st.integers(min_value=1, max_value=10**6))
+@example(13, 2)
+@example(31, 2)
+@example(241, 3)
+@example(3, 5)
+@example(11, 5)
+@example(191, 6)
+@example(5, 7)
+@example(3, 9)
+@settings(deadline=None, max_examples=60, derandomize=True)
+def test_period_p_squared_matches_brute_oracle_to_2000(p, k):
+    pi_p = pisano_period(k, p)
+    expected = pi_p if is_wss_brute(k, p) else p * pi_p
+    assert period_p_squared(k, p) == expected, (k, p)
 
 
 def test_period_p_squared_sampled_to_200():

@@ -313,15 +313,18 @@ def test_search_agrees_with_pointwise_period_check(k, p_idx):
 # ---------------------------------------------------------- work per k and cell
 
 
-def _record_calls(monkeypatch, fn):
-    """Replace every binding of fn in the package with a wrapper that logs its positional args."""
+PACKAGE_MODULES = (wallsunsun, cli, intmath, lucas, quadring, trinomial, wss)
+
+
+def _record_calls(monkeypatch, fn, modules=PACKAGE_MODULES):
+    """Replace every binding of fn in modules with a wrapper that logs its positional args."""
     calls = []
 
     def recording(*args, **kwargs):
         calls.append(args if len(args) > 1 else args[0])
         return fn(*args, **kwargs)
 
-    for mod in (wallsunsun, cli, intmath, lucas, quadring, trinomial, wss):
+    for mod in modules:
         for name, value in list(vars(mod).items()):
             if value is fn:
                 monkeypatch.setattr(mod, name, recording)
@@ -330,13 +333,20 @@ def _record_calls(monkeypatch, fn):
 
 @pytest.fixture
 def factorize_calls(monkeypatch):
-    """The n of every factorize call, in order."""
-    return _record_calls(monkeypatch, intmath.factorize)
+    """The n of every factorize call outside lucas, in order: the factoring of k^2+4."""
+    others = tuple(mod for mod in PACKAGE_MODULES if mod is not lucas)
+    return _record_calls(monkeypatch, intmath.factorize, others)
+
+
+@pytest.fixture
+def period_factorize_calls(monkeypatch):
+    """The n of every factorize call lucas makes for a period, in order."""
+    return _record_calls(monkeypatch, intmath.factorize, (lucas,))
 
 
 @pytest.fixture
 def period_walks(monkeypatch):
-    """The (k, m) of every pisano_period walk, in order."""
+    """The (k, m) of every pisano_period call, in order."""
     return _record_calls(monkeypatch, lucas.pisano_period)
 
 
@@ -353,6 +363,20 @@ def test_each_public_criterion_factors_once_per_call(factorize_calls):
 def test_search_factors_once_per_k(factorize_calls, criterion):
     search(1, 10, 60, criterion, jobs=1)
     assert factorize_calls == [(k * k + 4) // (4 if k % 2 == 0 else 1) for k in range(1, 11)]
+
+
+def _wall_multiple(k, p):
+    """The multiple of pi(p) that lucas factors: 6, p - 1, 2(p + 1) or 4p."""
+    if p == 2:
+        return 6
+    return {1: p - 1, -1: 2 * (p + 1), 0: 4 * p}[legendre_euler(k * k + 4, p)]
+
+
+@pytest.mark.parametrize("criterion", ["period", "all"])
+def test_search_factors_p_and_its_wall_multiple_per_cell(period_factorize_calls, criterion):
+    res = search(1, 10, 60, criterion, jobs=1)
+    cells = [(k, p) for k in range(1, 11) if k not in res.skipped_k for p in sieve_primes(60)]
+    assert period_factorize_calls == [n for k, p in cells for n in (p, _wall_multiple(k, p))]
 
 
 @pytest.mark.parametrize("criterion", ["period", "all"])
