@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 hypothesis violation, 2 invalid arguments,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -189,7 +190,9 @@ def cmd_discriminant(args) -> int:
     return 0
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_common(sub: argparse.ArgumentParser, func) -> None:
+    """The options every command shares, and func as the command's handler."""
+    sub.set_defaults(func=func)
     sub.add_argument("--format", choices=("text", "json"), default="text")
     sub.add_argument(
         "--factor-budget",
@@ -205,7 +208,9 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process: parse_args keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="wss",
         description="k-Wall-Sun-Sun prime detection and trinomial monogenicity checks",
@@ -215,8 +220,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check = subs.add_parser("check", help="classify one (k, p) pair by all criteria")
     p_check.add_argument("--k", type=int, required=True)
     p_check.add_argument("--p", type=int, required=True)
-    _add_common(p_check)
-    p_check.set_defaults(func=cmd_check)
+    _add_common(p_check, cmd_check)
 
     p_search = subs.add_parser("search", help="scan a (k, p) grid for hits")
     p_search.add_argument("--k-min", type=int, required=True)
@@ -226,37 +230,32 @@ def _build_parser() -> argparse.ArgumentParser:
     p_search.add_argument(
         "--jobs", type=int, default=None, help="worker processes (default: cpu count)"
     )
-    _add_common(p_search)
-    p_search.set_defaults(func=cmd_search)
+    _add_common(p_search, cmd_search)
 
     p_mono = subs.add_parser("monogenic", help="monogenicity report for x^(2p) - k x^p - 1")
     p_mono.add_argument("--k", type=int, required=True)
     p_mono.add_argument("--p", type=int, required=True)
     p_mono.add_argument("--report", action="store_true", help="include per-prime verdicts")
-    _add_common(p_mono)
-    p_mono.set_defaults(func=cmd_monogenic)
+    _add_common(p_mono, cmd_monogenic)
 
     p_period = subs.add_parser("period", help="period of the Lucas sequence mod m")
     p_period.add_argument("--k", type=int, required=True)
     p_period.add_argument("--m", type=int, required=True)
-    _add_common(p_period)
-    p_period.set_defaults(func=cmd_period)
+    _add_common(p_period, cmd_period)
 
     p_disc = subs.add_parser(
         "discriminant", help="closed-form discriminant with resultant cross-check"
     )
     p_disc.add_argument("--k", type=int, required=True)
     p_disc.add_argument("--p", type=int, required=True)
-    _add_common(p_disc)
-    p_disc.set_defaults(func=cmd_discriminant)
+    _add_common(p_disc, cmd_discriminant)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2

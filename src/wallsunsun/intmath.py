@@ -5,6 +5,10 @@ meet: below 3,317,044,064,679,887,385,961,981 the fixed Miller-Rabin base
 set of the first twelve primes is a proven witness set, and above that we
 run 64 extra rounds with bases drawn from a generator seeded by n itself,
 so results stay reproducible run to run.
+
+factorize divides out the primes up to TRIAL_BOUND and asks is_prime about
+each cofactor before Pollard rho splits it, so a prime times small primes
+costs one primality test.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from dataclasses import dataclass
 from .errors import FactorizationBudgetError
 
 DEFAULT_FACTOR_BUDGET = 10_000_000
+TRIAL_BOUND = 1_000
 
 # The 12-prime base set below is a proven complete witness set for every n
 # under this constant (covers well past 2^64). is_prime is deterministic up
@@ -27,9 +32,6 @@ _SMALL_PRIMES = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
     71, 73, 79, 83, 89, 97,
 )
-
-# trial division steps over a 2/3/5 wheel
-_WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)
 
 
 def jacobi(a: int, n: int) -> int:
@@ -91,6 +93,15 @@ def is_prime(n: int) -> bool:
     return True
 
 
+_TRIAL_PRIMES = tuple(n for n in range(TRIAL_BOUND + 1) if is_prime(n))
+
+
+def require_prime(n: int, name: str = "p") -> None:
+    """Raise ValueError unless n is prime: the one check a public entry point makes."""
+    if not is_prime(n):
+        raise ValueError(f"{name} must be prime, got {n}")
+
+
 @dataclass(frozen=True)
 class Factorization:
     """Complete factorization of n: factors is sorted ((prime, exponent), ...)."""
@@ -148,9 +159,11 @@ def _pollard_rho(n: int, rng: random.Random, budget: int) -> tuple[int, int]:
 def factorize(n: int, *, budget: int | None = None) -> Factorization:
     """Factor n >= 1 completely, or raise FactorizationBudgetError.
 
-    budget caps the number of rho iterations spent after trial division
-    (default 10**7). The error carries whatever part did factor plus the
-    composite cofactor that did not.
+    Primes up to TRIAL_BOUND are divided out; a cofactor left over goes to
+    is_prime, then a square check, then rho. budget caps the rho iterations
+    (default 10**7), which pay for every factor above TRIAL_BOUND, those
+    below 10**6 included. The error carries whatever part did factor plus
+    the composite cofactor that did not.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -158,22 +171,16 @@ def factorize(n: int, *, budget: int | None = None) -> Factorization:
         budget = DEFAULT_FACTOR_BUDGET
     original = n
     counts: dict[int, int] = {}
-    for p in (2, 3, 5):
-        while n % p == 0:
-            counts[p] = counts.get(p, 0) + 1
-            n //= p
-    d = 7
-    i = 0
-    while d * d <= n and d <= 1_000_000:
+    for d in _TRIAL_PRIMES:
+        if d * d > n:
+            break
         while n % d == 0:
             counts[d] = counts.get(d, 0) + 1
             n //= d
-        d += _WHEEL[i]
-        i = (i + 1) % 8
-    if d * d > n and n > 1:
-        counts[n] = counts.get(n, 0) + 1
+    if d * d > n > 1:  # no prime below d divides n, so n is prime
+        counts[n] = 1
         n = 1
-    # anything left is > 10**12 with no factor below 10**6
+    # anything left has no prime factor up to TRIAL_BOUND
     stack = [n] if n > 1 else []
     rng = None  # seeded by original on first use, so results stay reproducible
     remaining = budget

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 
 from .errors import InconsistencyError
-from .intmath import Factorization, factorize, is_prime, jacobi
+from .intmath import Factorization, factorize, jacobi, require_prime
 
 
 def _check_k(k: int) -> None:
@@ -60,23 +60,24 @@ def lucas_u(k: int, n: int, m: int) -> int:
 
 def _prime_multiple(k: int, q: int, factor_budget: int | None) -> Factorization:
     """The factorization of Wall's multiple of pi(q) for prime q."""
-    if q == 2:
-        multiple = 6
-    else:
-        multiple = {1: q - 1, -1: 2 * (q + 1), 0: 4 * q}[jacobi(k * k + 4, q)]
+    multiple = 6 if q == 2 else {1: q - 1, -1: 2 * (q + 1), 0: 4 * q}[jacobi(k * k + 4, q)]
     return factorize(multiple, budget=factor_budget)
 
 
-def pisano_period(k: int, m: int, *, factor_budget: int | None = None) -> int:
+def pisano_period(
+    k: int, m: int, *, factor_budget: int | None = None, factors: tuple | None = None
+) -> int:
     """Least period of (U_n) mod m, by order finding on Wall's multiple.
 
     factor_budget caps the rho iterations of each factoring step, as in
-    factorize; running out raises FactorizationBudgetError.
+    factorize; running out raises FactorizationBudgetError. factors, when
+    given, is the factorization of m as ((prime, exponent), ...), which the
+    caller vouches for; m itself is then not factored.
     """
     _check_k(k)
     _check_m(m)
     exponents: dict[int, int] = {}
-    for q, e in factorize(m, budget=factor_budget).factors:
+    for q, e in factors or factorize(m, budget=factor_budget).factors:
         piece = dict(_prime_multiple(k, q, factor_budget).factors)
         piece[q] = piece.get(q, 0) + e - 1
         for r, a in piece.items():
@@ -95,16 +96,13 @@ def pisano_period(k: int, m: int, *, factor_budget: int | None = None) -> int:
 
 
 def _periods_p_p2(k: int, p: int, *, factor_budget: int | None = None) -> tuple[int, int]:
-    """(pi(p), pi(p^2)) for prime p, from one mod-p period.
+    """(pi(p), pi(p^2)) for a p the caller has proven prime, from one mod-p period.
 
     pi(p^2) is either pi(p) or p*pi(p), never anything else. It is
     therefore enough to test whether the mod-p period already closes
     mod p^2, which fast doubling answers in O(log p) ring operations.
     """
-    _check_k(k)
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    pi_p = pisano_period(k, p, factor_budget=factor_budget)
+    pi_p = pisano_period(k, p, factor_budget=factor_budget, factors=((p, 1),))
     if _u_pair(k, pi_p, p * p) == (0, 1):
         return pi_p, pi_p
     return pi_p, p * pi_p
@@ -112,4 +110,5 @@ def _periods_p_p2(k: int, p: int, *, factor_budget: int | None = None) -> tuple[
 
 def period_p_squared(k: int, p: int) -> int:
     """pi(p^2) for prime p."""
+    require_prime(p)
     return _periods_p_p2(k, p)[1]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .intmath import is_prime
+from .intmath import require_prime
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,8 +102,12 @@ def eval_fp_alpha(k: int, p: int) -> QuadElem:
     Vanishing of this element is one of the equivalent detection criteria
     for p being a k-Wall-Sun-Sun prime.
     """
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+    require_prime(p)
+    return _fp_alpha(k, p)
+
+
+def _fp_alpha(k: int, p: int) -> QuadElem:
+    """eval_fp_alpha for a p the caller has proven prime."""
     m = p * p
     ap = QuadElem.alpha(k, m) ** p
     return ap * ap - QuadElem.scalar(k, k, m) * ap - QuadElem.one(k, m)

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import HypothesisError, InconsistencyError
-from .intmath import Factorization, factorize, is_prime
+from .intmath import Factorization, factorize, require_prime
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,7 @@ class MonogenicityReport:
     @property
     def discriminant(self) -> int:
         """disc(F_p) by the closed form, built only when read (over 2p log2 p bits)."""
-        return fp_discriminant(-self.trinomial.A, self.trinomial.M)
+        return _fp_discriminant(self.trinomial)
 
 
 @dataclass(frozen=True)
@@ -133,8 +133,7 @@ def wss_trinomial(k: int, p: int) -> Trinomial:
     """The detector trinomial x^{2p} - k x^p - 1."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+    require_prime(p)
     return Trinomial(N=2 * p, M=p, A=-k, B=-1)
 
 
@@ -192,10 +191,11 @@ def discriminant_resultant(t: Trinomial) -> int:
 
 def fp_discriminant(k: int, p: int) -> int:
     """Closed form disc(F_p) = (-1)^((p+1)(2p-1)) * p^(2p) * (k^2+4)^p."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+    return _fp_discriminant(wss_trinomial(k, p))
+
+
+def _fp_discriminant(t: Trinomial) -> int:
+    k, p = -t.A, t.M  # t is F_p, checked when it was built
     sign = -1 if ((p + 1) * (2 * p - 1)) % 2 else 1
     return sign * p ** (2 * p) * (k * k + 4) ** p
 
@@ -309,25 +309,22 @@ def _case4_g_h(
     return [c % q for c in g], [c // q for c in num]
 
 
-def index_check_prime(
-    t: Trinomial, q: int, *, discriminant: int | None = None
-) -> IndexVerdict:
+def index_check_prime(t: Trinomial, q: int) -> IndexVerdict:
     """Decide whether prime q divides the index [Z_K : Z[theta]] for t.
 
     Requires q | disc(t) and t irreducible over Q (the caller vouches for
-    irreducibility). Pass the discriminant when it is already known; when
-    omitted, q | disc(t) is read off Swan's closed form
+    irreducibility). q | disc(t) is read off Swan's closed form
     disc(t) = (-1)^(N(N-1)/2) * B^(M-1) * D^r, with D from index_d_value,
     so the discriminant itself is never built.
     """
-    if q < 2 or not is_prime(q):
-        raise ValueError(f"q must be prime, got {q}")
+    require_prime(q, "q")
+    return _index_verdict(t, q)
+
+
+def _index_verdict(t: Trinomial, q: int) -> IndexVerdict:
+    """index_check_prime for a q the caller has proven prime."""
     d, norm = index_d_value(t)
-    if discriminant is None:
-        in_disc = (t.M > 1 and t.B % q == 0) or d % q == 0
-    else:
-        in_disc = discriminant % q == 0
-    if not in_disc:
+    if not ((t.M > 1 and t.B % q == 0) or d % q == 0):
         raise ValueError(f"q = {q} does not divide the discriminant of {t}")
 
     n, m, a, b = t.N, t.M, t.A, t.B
@@ -388,9 +385,7 @@ def index_check_prime(
         return IndexVerdict(q, not ok, 4, detail)
 
     ok = norm % q2 != 0
-    detail = (
-        "q^2 does not divide D/r^N1" if ok else "q^2 divides D/r^N1"
-    )
+    detail = "q^2 does not divide D/r^N1" if ok else "q^2 divides D/r^N1"
     return IndexVerdict(q, not ok, 5, detail)
 
 
@@ -403,19 +398,21 @@ def is_monogenic_fp(
     (k^2+4)/gcd(2,k)^2 squarefree), which guarantee irreducibility; they
     are checked first. The discriminant's prime factors are p together
     with the primes of k^2+4, read off the closed form. The discriminant
-    itself is not built: index_check_prime decides q | disc by Swan's
+    itself is not built: the per-prime check decides q | disc by Swan's
     formula, and the report computes it only when read.
     """
-    return _monogenic_report(validate_k(k, factor_budget=factor_budget).require(), p)
+    hyp = validate_k(k, factor_budget=factor_budget).require()
+    require_prime(p)
+    return _monogenic_report(hyp, p)
 
 
 def _monogenic_report(hyp: WssHypotheses, p: int) -> MonogenicityReport:
-    """is_monogenic_fp for a k whose hypotheses hold; factors nothing."""
-    t = wss_trinomial(hyp.k, p)  # validates p
+    """is_monogenic_fp for a k whose hypotheses hold and a proven p; tests and factors nothing."""
+    t = Trinomial(N=2 * p, M=p, A=-hyp.k, B=-1)
     # primes(k^2+4) = primes(D): D = k^2+4 for odd k, and for k = 2 mod 4,
     # D = (k/2)^2 + 1 is even, so dividing by 4 loses no prime.
     qs = sorted({p, *hyp.factorization.primes()})
-    verdicts = tuple(index_check_prime(t, q) for q in qs)
+    verdicts = tuple(_index_verdict(t, q) for q in qs)
     return MonogenicityReport(
         trinomial=t,
         verdicts=verdicts,

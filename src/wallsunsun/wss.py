@@ -18,9 +18,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .errors import CriterionUnsupportedError, InconsistencyError
-from .intmath import is_prime, jacobi
+from .intmath import jacobi, require_prime
 from .lucas import _periods_p_p2, lucas_u
-from .quadring import eval_fp_alpha
+from .quadring import _fp_alpha
 from .trinomial import WssHypotheses, _monogenic_report, is_monogenic_fp, validate_k
 
 CRITERIA = ("period", "entry", "alpha", "monogenic", "all")
@@ -52,12 +52,12 @@ def delta_p(k: int, p: int) -> int:
         raise ValueError(f"k must be >= 1, got {k}")
     if p == 2:
         raise ValueError("delta_p is defined for odd primes only")
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+    require_prime(p)
     return jacobi(k * k + 4, p)
 
 
 def is_wss_by_period(k: int, p: int) -> bool:
+    require_prime(p)
     pi_p, pi_p2 = _periods_p_p2(k, p)
     return pi_p2 == pi_p
 
@@ -73,10 +73,12 @@ def is_wss_by_entry(k: int, p: int) -> bool:
         raise CriterionUnsupportedError(
             "entry criterion needs p >= 3; use the period criterion at p = 2"
         )
-    d = delta_p(k, p)
-    if d == 0:
-        return False
-    return lucas_u(k, p - d, p * p) == 0
+    return _entry_hit(k, p, delta_p(k, p))
+
+
+def _entry_hit(k: int, p: int, delta: int) -> bool:
+    """is_wss_by_entry for a proven odd prime p with delta = delta_p(k, p)."""
+    return delta != 0 and lucas_u(k, p - delta, p * p) == 0
 
 
 def is_wss_by_alpha(k: int, p: int, *, factor_budget: int | None = None) -> bool:
@@ -86,9 +88,8 @@ def is_wss_by_alpha(k: int, p: int, *, factor_budget: int | None = None) -> bool
             "alpha criterion needs p >= 3; use the period criterion at p = 2"
         )
     validate_k(k, factor_budget=factor_budget).require()
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    return eval_fp_alpha(k, p).is_zero()
+    require_prime(p)
+    return _fp_alpha(k, p).is_zero()
 
 
 def is_wss_by_monogenicity(k: int, p: int, *, factor_budget: int | None = None) -> bool:
@@ -104,16 +105,13 @@ def classify(k: int, p: int, *, factor_budget: int | None = None) -> WssClassifi
     since agreement is a theorem under the hypotheses.
     """
     hyp = validate_k(k, factor_budget=factor_budget).require()
+    require_prime(p)
     return _classify(hyp, p, factor_budget=factor_budget)
 
 
-def _classify(
-    hyp: WssHypotheses, p: int, *, factor_budget: int | None = None
-) -> WssClassification:
-    """classify for a k whose hypotheses hold; factors only for the period of p."""
+def _classify(hyp: WssHypotheses, p: int, *, factor_budget: int | None = None) -> WssClassification:
+    """classify for a k whose hypotheses hold and a proven prime p; factors only Wall's multiple."""
     k = hyp.k
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
     pi_p, pi_p2 = _periods_p_p2(k, p, factor_budget=factor_budget)
     by_period = pi_p2 == pi_p
     if p == 2:
@@ -121,9 +119,9 @@ def _classify(
         by_entry = by_alpha = by_period
         derived = True
     else:
-        delta, applicable = delta_p(k, p), True
-        by_entry = is_wss_by_entry(k, p)
-        by_alpha = eval_fp_alpha(k, p).is_zero()
+        delta, applicable = jacobi(k * k + 4, p), True
+        by_entry = _entry_hit(k, p, delta)
+        by_alpha = _fp_alpha(k, p).is_zero()
         derived = False
     by_monogenic = not _monogenic_report(hyp, p).monogenic
     consistent = by_period == by_entry == by_alpha == by_monogenic
@@ -183,7 +181,7 @@ def _primes_upto(limit: int) -> list[int]:
 
 
 def _cell_is_hit(k: int, p: int, hyp: WssHypotheses | None, criterion: str) -> SearchHit | None:
-    """The hit at (k, p), if any. hyp is validate_k(k) for the criteria that need it."""
+    """The hit at (k, p) for a sieved prime p, if any; hyp is validate_k(k) where needed."""
     if criterion == "all":
         c = _classify(hyp, p)
         if not c.is_wss:
@@ -191,9 +189,9 @@ def _cell_is_hit(k: int, p: int, hyp: WssHypotheses | None, criterion: str) -> S
         return SearchHit(k=k, p=p, pi_p=c.pi_p, pi_p2=c.pi_p2, classification=c)
     # entry and alpha are undefined at p = 2; ground truth there is the period
     if criterion == "entry" and p != 2:
-        hit = is_wss_by_entry(k, p)
+        hit = _entry_hit(k, p, jacobi(k * k + 4, p))
     elif criterion == "alpha" and p != 2:
-        hit = eval_fp_alpha(k, p).is_zero()
+        hit = _fp_alpha(k, p).is_zero()
     elif criterion == "monogenic":
         hit = not _monogenic_report(hyp, p).monogenic
     else:
@@ -207,12 +205,8 @@ def _cell_is_hit(k: int, p: int, hyp: WssHypotheses | None, criterion: str) -> S
 
 def _search_chunk(args: tuple) -> list[SearchHit]:
     cells, criterion = args
-    out = []
-    for k, p, hyp in cells:
-        hit = _cell_is_hit(k, p, hyp, criterion)
-        if hit is not None:
-            out.append(hit)
-    return out
+    hits = (_cell_is_hit(k, p, hyp, criterion) for k, p, hyp in cells)
+    return [hit for hit in hits if hit is not None]
 
 
 def search(

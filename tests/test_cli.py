@@ -28,7 +28,7 @@ HARD_K = "4001742"  # see test_wss.py: rho-hard hypothesis quantity
 # k^2+4, whose rho is seeded differently, does not: a command that factored
 # k^2+4 again after validate_k ran out of budget on a valid k.
 RHO_SEED_K = "19816596295742"
-# 1000003 * 1000033: no factor below trial division's 10^6 ceiling, so
+# 1000003 * 1000033: both factors lie above trial division's bound, so
 # factoring it takes rho iterations.
 SEMIPRIME_M = "1000036000099"
 # 2 * 1000037 * 1000117 + 1: a prime whose Wall multiple p - 1 (k = 1) takes
@@ -229,6 +229,22 @@ def test_unknown_arguments_exit_2(capsys):
     capsys.readouterr()
     assert main(["frobnicate"]) == 2
     capsys.readouterr()
+
+
+def test_one_process_parses_like_fresh_ones(capsys):
+    """main builds its parser once per process; a failed parse leaves nothing behind."""
+    bad = ["check", "--k", "2", "--p", "x"]
+    good = ["check", "--k", "2", "--p", "13", "--format", "json"]
+    fresh = []
+    for argv in (bad, good):
+        proc = subprocess.run(
+            [sys.executable, "-m", "wallsunsun.cli", *argv],
+            capture_output=True, text=True, timeout=120,
+        )
+        fresh.append((proc.returncode, proc.stdout))
+    assert [code for code, _ in fresh] == [2, 0]
+    in_process = [run_cli(capsys, *argv)[:2] for argv in (bad, good, bad)]
+    assert in_process == [fresh[0], fresh[1], fresh[0]]
 
 
 def test_error_messages_go_to_stderr(capsys):

@@ -1,5 +1,6 @@
 """Integer arithmetic layer: Jacobi, primality, factoring."""
 
+import math
 import multiprocessing
 import pickle
 import random
@@ -8,12 +9,14 @@ from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from sympy import factorint, nextprime
 
 from wallsunsun import intmath
 from wallsunsun.errors import FactorizationBudgetError
 from wallsunsun.intmath import (
     DEFAULT_FACTOR_BUDGET,
     DETERMINISTIC_PRIMALITY_BOUND,
+    TRIAL_BOUND,
     Factorization,
     factorize,
     is_prime,
@@ -169,7 +172,7 @@ def test_factorize_known_values(n, factors):
 
 
 def test_factorize_large_semiprime_needs_rho():
-    # both primes sit above the trial-division ceiling
+    # both primes sit far above the trial-division bound
     p, q = 1_000_000_007, 1_000_000_009
     assert factorize(p * q).factors == ((p, 1), (q, 1))
 
@@ -198,8 +201,17 @@ def test_factorize_budget_error_carries_partial_progress():
     d = 97 * 1150949 * 3475949
     with pytest.raises(FactorizationBudgetError) as exc:
         factorize(d, budget=10)
-    assert (97, 1) in exc.value.partial
+    assert exc.value.partial == ((97, 1),)
     assert exc.value.cofactor == 1150949 * 3475949
+
+
+def test_factorize_budget_pays_for_factors_between_trial_bound_and_1e6():
+    # trial division stops at TRIAL_BOUND, so 1009 * 1013 is rho's to split
+    assert TRIAL_BOUND < 1009
+    with pytest.raises(FactorizationBudgetError) as exc:
+        factorize(8 * 1009 * 1013, budget=1)
+    assert (exc.value.cofactor, exc.value.partial) == (1009 * 1013, ((2, 3),))
+    assert factorize(8 * 1009 * 1013, budget=10**3).factors == ((2, 3), (1009, 1), (1013, 1))
 
 
 def test_factorize_budget_error_survives_pickling():
@@ -220,6 +232,63 @@ def test_factorize_budget_error_crosses_the_process_pool_boundary():
         assert futures[1].result(timeout=60).factors == ((2, 3), (3, 2), (5, 1))
     assert exc.value.cofactor == 1150949 * 3475949
     assert exc.value.partial == ((97, 1),)
+
+
+# ------------------------------------------- factorize against independent oracles
+# Derandomized samples up to 10^14 against sympy.factorint, and against the
+# trial-division oracle where it stays cheap. The constructed cases aim at
+# what trial division no longer reaches: factors above TRIAL_BOUND.
+
+MID_PRIMES = [q for q in sieve_primes(10**6) if q > TRIAL_BOUND]
+
+
+def _assert_factorization(n, expected):
+    f = factorize(n)
+    assert f.n == n
+    assert dict(f.factors) == expected == factorint(n), n
+    assert list(f.factors) == sorted(f.factors)
+
+
+def test_factorize_matches_sympy_to_1e14():
+    rng = random.Random(14)
+    for digits in range(6, 15):
+        for _ in range(40):
+            n = rng.randrange(10 ** (digits - 1), 10**digits)
+            assert dict(factorize(n).factors) == factorint(n), n
+
+
+def test_factorize_matches_trial_division_on_mid_size_factors():
+    rng = random.Random(15)
+    smooth = [q for q in MID_PRIMES if q < 20_000]
+    for _ in range(60):
+        n = rng.choice((1, 2, 3, 45, 97)) * math.prod(rng.sample(smooth, rng.randrange(1, 4)))
+        assert dict(factorize(n).factors) == trial_factor(n), n
+
+
+def test_factorize_semiprimes_between_trial_bound_and_1e6():
+    rng = random.Random(16)
+    for _ in range(60):
+        p, q = sorted(rng.sample(MID_PRIMES, 2))
+        _assert_factorization(p * q, {p: 1, q: 1})
+    _assert_factorization(1009 * 1013, {1009: 1, 1013: 1})
+    _assert_factorization(999_983 * 999_979, {999_979: 1, 999_983: 1})
+
+
+def test_factorize_semiprimes_above_1e6():
+    rng = random.Random(17)
+    for _ in range(20):
+        p, q = sorted({nextprime(rng.randrange(10**6, 10**7)) for _ in range(2)})
+        _assert_factorization(p * q, {p: 1, q: 1})
+
+
+def test_factorize_prime_powers_above_trial_bound():
+    rng = random.Random(18)
+    for e in range(1, 6):
+        for q in [1009, MID_PRIMES[-1], *rng.sample(MID_PRIMES, 6)]:
+            _assert_factorization(q**e, {q: e})
+            _assert_factorization(6 * q**e, {2: 1, 3: 1, q: e})
+    p, q = 1009, 999_983
+    _assert_factorization(p**2 * q**3, {p: 2, q: 3})
 
 
 def test_factorize_rejects_nonpositive():

@@ -265,8 +265,10 @@ def test_index_criterion_validation():
         index_check_prime(t, 4)       # not prime
     with pytest.raises(ValueError):
         index_check_prime(t, 3)       # 3 does not divide disc = 5
-    with pytest.raises(ValueError):
-        index_check_prime(t, 5, discriminant=7)
+    # disc(x^3 + x + 5) = -679 = -7 * 97: q = 5 divides B, but with M = 1
+    # Swan's factor B^(M-1) is 1, so 5 does not divide the discriminant
+    with pytest.raises(ValueError, match="does not divide the discriminant"):
+        index_check_prime(Trinomial(3, 1, 1, 5), 5)
 
 
 # ------------------------------------------------- wss-family invariant sweep

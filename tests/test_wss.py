@@ -1,5 +1,6 @@
 """Hypothesis validation, the four criteria, classify, and search."""
 
+import json
 import pickle
 
 import pytest
@@ -80,8 +81,9 @@ def test_validate_k_rejects_nonpositive():
 
 
 def test_validate_k_budget_propagates():
-    with pytest.raises(FactorizationBudgetError):
+    with pytest.raises(FactorizationBudgetError) as exc:
         validate_k(HARD_K, factor_budget=10)
+    assert (exc.value.cofactor, exc.value.partial) == (1122533 * 1783237, ((2, 1),))
     # with the default budget the rho stage resolves it
     assert validate_k(HARD_K).satisfied
 
@@ -373,10 +375,12 @@ def _wall_multiple(k, p):
 
 
 @pytest.mark.parametrize("criterion", ["period", "all"])
-def test_search_factors_p_and_its_wall_multiple_per_cell(period_factorize_calls, criterion):
+def test_search_factors_only_the_wall_multiple_per_cell(period_factorize_calls, criterion):
+    # p comes from the sieve, so the period is found from the factorization
+    # ((p, 1),) without factoring p
     res = search(1, 10, 60, criterion, jobs=1)
     cells = [(k, p) for k in range(1, 11) if k not in res.skipped_k for p in sieve_primes(60)]
-    assert period_factorize_calls == [n for k, p in cells for n in (p, _wall_multiple(k, p))]
+    assert period_factorize_calls == [_wall_multiple(k, p) for k, p in cells]
 
 
 @pytest.mark.parametrize("criterion", ["period", "all"])
@@ -390,3 +394,81 @@ def test_period_criterion_and_classify_walk_once(period_walks):
     is_wss_by_period(2, 13)
     classify(2, 13)
     assert period_walks == [(2, 13), (2, 13)]
+
+
+# ------------------------------------------------------- primality, proven once
+
+# The Pell case k = 2 has the Wall-Sun-Sun prime 1,546,463; no other prime
+# within 10^4 of it is a 2-Wall-Sun-Sun prime.
+PELL_WSS_P = 1546463
+
+
+@pytest.fixture
+def prime_tests(monkeypatch):
+    """The n of every is_prime call, in order."""
+    return _record_calls(monkeypatch, intmath.is_prime)
+
+
+@pytest.mark.parametrize("criterion", CRITERIA)
+def test_search_never_tests_a_sieved_prime(prime_tests, criterion):
+    search(1, 10, 300, criterion, jobs=1)
+    assert not set(prime_tests) & set(sieve_primes(300))
+
+
+def _index_check_at_p(k, p):
+    return trinomial.index_check_prime(trinomial.Trinomial(2 * p, p, -k, -1), p)
+
+
+# Every public function that takes a prime: each tests it exactly once.
+PRIME_ENTRY_POINTS = {
+    "classify": classify,
+    "is_wss_by_period": is_wss_by_period,
+    "is_wss_by_entry": is_wss_by_entry,
+    "is_wss_by_alpha": is_wss_by_alpha,
+    "is_wss_by_monogenicity": is_wss_by_monogenicity,
+    "delta_p": delta_p,
+    "period_p_squared": lucas.period_p_squared,
+    "eval_fp_alpha": quadring.eval_fp_alpha,
+    "is_monogenic_fp": is_monogenic_fp,
+    "wss_trinomial": trinomial.wss_trinomial,
+    "fp_discriminant": trinomial.fp_discriminant,
+    "index_check_prime": _index_check_at_p,
+}
+
+
+@pytest.mark.parametrize(
+    "name,p",
+    # the closed-form discriminant has about 2p log2(p) bits: small p only
+    [(name, p) for p in (13, PELL_WSS_P) for name in PRIME_ENTRY_POINTS
+     if not (name == "fp_discriminant" and p > 100)],
+)
+def test_each_public_call_tests_p_once(prime_tests, name, p):
+    PRIME_ENTRY_POINTS[name](2, p)
+    assert prime_tests.count(p) == 1, prime_tests
+
+
+def test_pisano_period_of_a_large_prime_tests_it_once(prime_tests):
+    # m is factored, not checked: above TRIAL_BOUND**2 the cofactor left
+    # after trial division is m itself, and is_prime settles it
+    lucas.pisano_period(2, PELL_WSS_P)
+    assert prime_tests.count(PELL_WSS_P) == 1
+
+
+@pytest.mark.parametrize("name", PRIME_ENTRY_POINTS)
+@pytest.mark.parametrize("p", [1, 9, 1_000_001])  # 1_000_001 = 101 * 9901
+def test_each_public_entry_point_rejects_composite_p(name, p):
+    with pytest.raises(ValueError):
+        PRIME_ENTRY_POINTS[name](2, p)
+
+
+# ----------------------------------------------------------- large-p anchor
+
+
+def test_pell_wall_sun_sun_prime_is_isolated(capsys):
+    assert cli.main(["check", "--k", "2", "--p", str(PELL_WSS_P), "--format", "json"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["is_wss"] and result["consistent"]
+    assert all(result[f"by_{c}"] for c in ("period", "entry", "alpha", "monogenic"))
+    window = [q for q in sieve_primes(PELL_WSS_P + 10**4) if abs(q - PELL_WSS_P) <= 10**4]
+    assert PELL_WSS_P in window and len(window) > 1000
+    assert [q for q in window if is_wss_by_entry(2, q)] == [PELL_WSS_P]
