@@ -12,13 +12,13 @@ from .errors import (
     FactorizationBudgetError,
     HypothesisError,
     InconsistencyError,
+    ResourceBudgetError,
 )
 from .intmath import (
     DEFAULT_FACTOR_BUDGET,
     Factorization,
     factorize,
     is_prime,
-    is_squarefree,
     jacobi,
 )
 from .lucas import lucas_u, period_p_squared, pisano_period
@@ -56,11 +56,11 @@ __all__ = [
     "FactorizationBudgetError",
     "HypothesisError",
     "InconsistencyError",
+    "ResourceBudgetError",
     "DEFAULT_FACTOR_BUDGET",
     "Factorization",
     "factorize",
     "is_prime",
-    "is_squarefree",
     "jacobi",
     "lucas_u",
     "period_p_squared",

@@ -21,13 +21,15 @@ import sys
 import time
 from dataclasses import asdict
 
-from .errors import FactorizationBudgetError, HypothesisError, InconsistencyError
+from .errors import HypothesisError, InconsistencyError, ResourceBudgetError
 from .intmath import DEFAULT_FACTOR_BUDGET
 from .lucas import pisano_period
-from .trinomial import discriminant_resultant, fp_discriminant, is_monogenic_fp, wss_trinomial
+from .trinomial import _fp_discriminant, discriminant_resultant, is_monogenic_fp, wss_trinomial
 from .wss import CRITERIA, WssClassification, classify, search
 
 SCHEMA_VERSION = "1"
+# The resultant cross-check grows like p^3 in big integers: seconds at p = 101.
+DISCRIMINANT_MAX_P = 101
 
 
 def _resolve_budget(args) -> int:
@@ -170,13 +172,15 @@ def cmd_period(args) -> int:
 
 def cmd_discriminant(args) -> int:
     t0 = time.perf_counter()
-    closed = fp_discriminant(args.k, args.p)
-    resultant = discriminant_resultant(wss_trinomial(args.k, args.p))
+    t = wss_trinomial(args.k, args.p)
+    if args.p > DISCRIMINANT_MAX_P:
+        raise ResourceBudgetError(f"resultant needs p <= {DISCRIMINANT_MAX_P}, got {args.p}")
+    closed, resultant = _fp_discriminant(t), discriminant_resultant(t)
     ms = (time.perf_counter() - t0) * 1000
     match = closed == resultant
     result = {"closed_form": closed, "resultant": resultant, "match": match}
     text = [
-        f"discriminant of x^{2 * args.p} + ({-args.k})*x^{args.p} + (-1)",
+        f"discriminant of {t}",
         f"  closed form  {closed}",
         f"  resultant    {resultant}",
         f"  match        {_yesno(match)}",
@@ -267,7 +271,7 @@ def main(argv: list[str] | None = None) -> int:
     except InconsistencyError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 3
-    except FactorizationBudgetError as exc:
+    except ResourceBudgetError as exc:
         print(f"resource budget exceeded: {exc}", file=sys.stderr)
         return 4
     except ValueError as exc:

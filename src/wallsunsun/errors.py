@@ -13,7 +13,11 @@ class CriterionUnsupportedError(ValueError):
     """Raised when a detection criterion is asked about a (k, p) pair it does not cover."""
 
 
-class FactorizationBudgetError(RuntimeError):
+class ResourceBudgetError(RuntimeError):
+    """A computation was stopped or refused because it would exceed its budget."""
+
+
+class FactorizationBudgetError(ResourceBudgetError):
     """Factoring ran out of budget before finishing.
 
     `cofactor` is the composite piece left over; `partial` holds the

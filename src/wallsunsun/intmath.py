@@ -28,10 +28,7 @@ TRIAL_BOUND = 1_000
 DETERMINISTIC_PRIMALITY_BOUND = 3_317_044_064_679_887_385_961_981
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-_SMALL_PRIMES = (
-    2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
-    71, 73, 79, 83, 89, 97,
-)
+_SMALL_PRIMES = tuple(n for n in range(2, 100) if all(n % d for d in range(2, n)))
 
 
 def jacobi(a: int, n: int) -> int:
@@ -208,9 +205,3 @@ def factorize(n: int, *, budget: int | None = None) -> Factorization:
             )
         stack.extend((f, m // f))
     return Factorization(original, tuple(sorted(counts.items())))
-
-
-def is_squarefree(n: int, *, budget: int | None = None) -> bool:
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return factorize(n, budget=budget).is_squarefree()

@@ -21,12 +21,9 @@ from .errors import InconsistencyError
 from .intmath import Factorization, factorize, jacobi, require_prime
 
 
-def _check_k(k: int) -> None:
+def _check_k_m(k: int, m: int) -> None:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-
-
-def _check_m(m: int) -> None:
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
 
@@ -51,8 +48,7 @@ def _u_pair(k: int, n: int, m: int) -> tuple[int, int]:
 
 def lucas_u(k: int, n: int, m: int) -> int:
     """U_n(k, -1) mod m."""
-    _check_k(k)
-    _check_m(m)
+    _check_k_m(k, m)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     return _u_pair(k, n, m)[0]
@@ -74,8 +70,7 @@ def pisano_period(
     given, is the factorization of m as ((prime, exponent), ...), which the
     caller vouches for; m itself is then not factored.
     """
-    _check_k(k)
-    _check_m(m)
+    _check_k_m(k, m)
     exponents: dict[int, int] = {}
     for q, e in factors or factorize(m, budget=factor_budget).factors:
         piece = dict(_prime_multiple(k, q, factor_budget).factors)

@@ -63,14 +63,7 @@ class QuadElem:
     def __pow__(self, exponent: int) -> "QuadElem":
         if exponent < 0:
             raise ValueError(f"exponent must be >= 0, got {exponent}")
-        result = QuadElem.one(self.k, self.m)
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base
-            exponent >>= 1
-        return result
+        return QuadElem(*_pair_pow(self.a, self.b, exponent, self.k, self.m), self.k, self.m)
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
@@ -108,6 +101,19 @@ def eval_fp_alpha(k: int, p: int) -> QuadElem:
 
 def _fp_alpha(k: int, p: int) -> QuadElem:
     """eval_fp_alpha for a p the caller has proven prime."""
-    m = p * p
-    ap = QuadElem.alpha(k, m) ** p
-    return ap * ap - QuadElem.scalar(k, k, m) * ap - QuadElem.one(k, m)
+    # ap = a + b*alpha = alpha^p; with alpha^2 = k*alpha + 1,
+    # ap^2 - k*ap - 1 = (a^2 + b^2 - k*a - 1) + b*(2a + k*b - k)*alpha.
+    a, b = _pair_pow(0, 1, p, k, p * p)
+    return QuadElem(a * a + b * b - k * a - 1, b * (2 * a + k * b - k), k, p * p)
+
+
+def _pair_pow(a: int, b: int, e: int, k: int, m: int) -> tuple[int, int]:
+    """(a + b*alpha)^e in R_m by square-and-multiply on coordinate pairs; e >= 0."""
+    ra, rb = 1, 0
+    while e:
+        if e & 1:
+            ra, rb = (ra * a + rb * b) % m, (ra * b + rb * (a + k * b)) % m
+        e >>= 1
+        if e:
+            a, b = (a * a + b * b) % m, b * (2 * a + k * b) % m
+    return ra, rb

@@ -178,7 +178,6 @@ def discriminant_resultant(t: Trinomial) -> int:
     fp = [0] * n  # derivative, degree N-1, big-endian
     fp[0] = n
     fp[n - 1 - (t.M - 1)] = t.A * t.M
-    size = 2 * n - 1
     rows = []
     for i in range(n - 1):
         rows.append([0] * i + f + [0] * (n - 2 - i))
@@ -261,6 +260,11 @@ def _poly_gcd(f: list[int], g: list[int], q: int) -> list[int]:
 
 
 def _mulmod(f: list[int], h: list[int], g: list[int], mod: int) -> list[int]:
+    """f*h mod (g, mod) for f, h reduced mod the monic g."""
+    if len(g) == 3:  # x^2 = -g1*x - g0, the case-4 G of every F_p at q = p
+        (f0, f1), (h0, h1), (g0, g1, _) = f, h, g
+        t = f1 * h1
+        return [(f0 * h0 - g0 * t) % mod, (f0 * h1 + f1 * h0 - g1 * t) % mod]
     prod = [0] * (len(f) + len(h) - 1)
     for i, fi in enumerate(f):
         if fi:
@@ -282,9 +286,7 @@ def _powmod(base: list[int], e: int, g: list[int], mod: int) -> list[int]:
     return result
 
 
-def _case4_g_h(
-    N: int, M: int, A: int, B: int, q: int, qm: int
-) -> tuple[list[int], list[int]]:
+def _case4_g_h(N: int, M: int, A: int, B: int, q: int, qm: int) -> tuple[list[int], list[int]]:
     """The case-4 pair (G mod q, (H mod G) mod q), little-endian.
 
     G = x^(N/qm) + A x^(M/qm) + B.
@@ -380,9 +382,7 @@ def _index_verdict(t: Trinomial, q: int) -> IndexVerdict:
         g, h = _case4_g_h(n, m, a, b, q, q**mv)
         gcd = _poly_gcd(g, h, q)
         degree = len(gcd) - 1 if gcd else -1
-        ok = degree == 0
-        detail = f"gcd(G, H) over F_q has degree {degree}"
-        return IndexVerdict(q, not ok, 4, detail)
+        return IndexVerdict(q, degree != 0, 4, f"gcd(G, H) over F_q has degree {degree}")
 
     ok = norm % q2 != 0
     detail = "q^2 does not divide D/r^N1" if ok else "q^2 divides D/r^N1"

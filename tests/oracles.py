@@ -7,6 +7,9 @@ scale. If the library and this file disagree, trust this file first.
 
 from __future__ import annotations
 
+import math
+import random
+
 
 def u_sequence(k: int, length: int, m: int | None = None) -> list[int]:
     """First `length` terms of U_0=0, U_1=1, U_n = k*U_{n-1} + U_{n-2}."""
@@ -84,6 +87,30 @@ def matrix_order(k: int, m: int) -> int:
     return n
 
 
+def quad_mul(x: tuple[int, int], y: tuple[int, int], k: int, m: int) -> tuple[int, int]:
+    """(a1 + b1*alpha)(a2 + b2*alpha) mod m as a pair, with alpha^2 = k*alpha + 1."""
+    (a1, b1), (a2, b2) = x, y
+    return (a1 * a2 + b1 * b2) % m, (a1 * b2 + a2 * b1 + k * b1 * b2) % m
+
+
+def quad_pow_slow(a: int, b: int, e: int, k: int, m: int) -> tuple[int, int]:
+    """(a + b*alpha)^e mod m as a pair, by repeated multiplication only.
+
+    With s = isqrt(e), e = s*t + r: x^s takes s steps, (x^s)^t takes t more and
+    x^r another r, so about 3*sqrt(e) multiplications and no squaring at all.
+    """
+
+    def steps(base: tuple[int, int], n: int) -> tuple[int, int]:
+        acc = (1 % m, 0)
+        for _ in range(n):
+            acc = quad_mul(acc, base, k, m)
+        return acc
+
+    x = (a % m, b % m)
+    s = max(1, math.isqrt(e))
+    return quad_mul(steps(steps(x, s), e // s), steps(x, e % s), k, m)
+
+
 def legendre_euler(a: int, p: int) -> int:
     """Legendre symbol via Euler's criterion; p an odd prime."""
     r = pow(a % p, (p - 1) // 2, p)
@@ -115,6 +142,22 @@ def trial_factor(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+def sampled_primes(seed: int, count: int, limit: int) -> list[int]:
+    """The primes below 100 plus `count` primes drawn uniformly below `limit`, sorted.
+
+    Each draw is the largest prime at or below a seeded uniform integer,
+    found by trial division.
+    """
+    rng = random.Random(seed)
+    drawn = []
+    for _ in range(count):
+        n = rng.randrange(100, limit)
+        while trial_factor(n) != {n: 1}:
+            n -= 1
+        drawn.append(n)
+    return sieve_primes(100) + sorted(drawn)
 
 
 def squarefree_slow(n: int) -> bool:

@@ -19,7 +19,8 @@ else:  # pytest depends on tomli below 3.11
     import tomli as tomllib
 
 import wallsunsun
-from wallsunsun.cli import SCHEMA_VERSION, main
+from wallsunsun.cli import DISCRIMINANT_MAX_P, SCHEMA_VERSION, main
+from wallsunsun.errors import FactorizationBudgetError, ResourceBudgetError
 from wallsunsun.lucas import pisano_period
 from wallsunsun.trinomial import fp_discriminant
 
@@ -157,6 +158,44 @@ def test_discriminant_command_cross_checks(capsys):
     assert doc["result"]["closed_form"] == want
     assert doc["result"]["resultant"] == want
     assert doc["result"]["match"] is True
+
+
+DISCRIMINANT_2_13_JSON = """{
+  "command": "discriminant",
+  "inputs": {
+    "k": 2,
+    "p": 13
+  },
+  "result": {
+    "closed_form": 50430931601057032690046355770574469332992,
+    "match": true,
+    "resultant": 50430931601057032690046355770574469332992
+  },
+  "schema_version": "1"
+}
+"""
+DISCRIMINANT_2_13_TEXT = """discriminant of x^26 + (-2)*x^13 + (-1)
+  closed form  50430931601057032690046355770574469332992
+  resultant    50430931601057032690046355770574469332992
+  match        yes
+"""
+
+
+def test_discriminant_refuses_p_above_its_cap_quickly(capsys):
+    assert 13 <= DISCRIMINANT_MAX_P < 1009
+    assert issubclass(FactorizationBudgetError, ResourceBudgetError)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "discriminant", "--k", "1", "--p", "1009")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (4, "")
+    assert err.startswith("resource budget exceeded:")
+    # p is still tested before the cap: a composite is invalid, not over budget
+    assert run_cli(capsys, "discriminant", "--k", "1", "--p", "1000")[0] == 2
+    assert run_cli(capsys, "discriminant", "--k", "2", "--p", "13", "--format", "json")[:2] == (
+        0,
+        DISCRIMINANT_2_13_JSON,
+    )
+    assert run_cli(capsys, "discriminant", "--k", "2", "--p", "13")[:2] == (0, DISCRIMINANT_2_13_TEXT)
 
 
 def test_monogenic_report_toggle(capsys):

@@ -20,7 +20,6 @@ from wallsunsun.intmath import (
     Factorization,
     factorize,
     is_prime,
-    is_squarefree,
     jacobi,
 )
 
@@ -306,18 +305,13 @@ def test_default_budget_value():
 
 def test_is_squarefree_matches_slow_oracle():
     for n in range(1, 3000):
-        assert is_squarefree(n) == squarefree_slow(n), n
+        assert factorize(n).is_squarefree() == squarefree_slow(n), n
 
 
 @given(st.integers(min_value=2, max_value=10**4))
 @settings(deadline=None)
 def test_perfect_squares_are_never_squarefree(n):
-    assert not is_squarefree(n * n)
-
-
-def test_factorization_squarefree_flag_agrees_with_module_fn():
-    for n in (1, 2, 30, 49, 360, 1001, 1024, 9699690):
-        assert factorize(n).is_squarefree() == is_squarefree(n)
+    assert not factorize(n * n).is_squarefree()
 
 
 def test_factorization_primes_listing():

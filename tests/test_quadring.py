@@ -10,9 +10,10 @@ from wallsunsun.lucas import lucas_u, pisano_period
 from wallsunsun.quadring import QuadElem, conjugate, eval_fp_alpha
 from wallsunsun.wss import validate_k
 
-from oracles import sieve_primes, trial_factor
+from oracles import quad_mul, quad_pow_slow, sampled_primes, sieve_primes, trial_factor
 
 RNG = random.Random(0xA1FA)
+PRIMES_TO_1E7 = st.sampled_from(sampled_primes(0x1E7, 100, 10**7))
 ODD_PRIMES_200 = [p for p in sieve_primes(200) if p >= 3]
 VALID_K_30 = [k for k in range(1, 31) if validate_k(k).satisfied]
 
@@ -153,6 +154,20 @@ def test_pow_is_the_lucas_closed_form(k, m, n):
     assert got == QuadElem(lucas_u(k, n - 1, m), lucas_u(k, n, m), k, m)
 
 
+@given(
+    k=st.integers(min_value=1, max_value=10**4),
+    p=PRIMES_TO_1E7,
+    coords=st.tuples(st.integers(min_value=0), st.integers(min_value=0)),
+    e=st.integers(min_value=0, max_value=10**7),
+)
+@settings(deadline=None, max_examples=60, derandomize=True)
+def test_pow_matches_repeated_multiplication(k, p, coords, e):
+    """Pair square-and-multiply against the object-free slow power in R_{p^2}."""
+    a, b = coords
+    got = QuadElem(a, b, k, p * p) ** e
+    assert (got.a, got.b) == quad_pow_slow(a, b, e, k, p * p)
+
+
 def test_pow_zero_exponent_is_one():
     assert (QuadElem.alpha(5, 37) ** 0).is_one()
 
@@ -211,6 +226,18 @@ def test_eval_fp_alpha_frozen_coordinates():
     v = eval_fp_alpha(1, 3)
     assert (v.a, v.b) == (3, 6)
     assert v.m == 9
+
+
+@given(k=st.integers(min_value=1, max_value=10**4), p=PRIMES_TO_1E7)
+@settings(deadline=None, max_examples=60, derandomize=True)
+def test_eval_fp_alpha_matches_repeated_multiplication(k, p):
+    """F_p(alpha) = ap^2 - k*ap - 1 with ap = alpha^p built by the slow power."""
+    m = p * p
+    ap = quad_pow_slow(0, 1, p, k, m)
+    a, b = quad_mul(ap, ap, k, m)
+    want = ((a - k * ap[0] - 1) % m, (b - k * ap[1]) % m)
+    got = eval_fp_alpha(k, p)
+    assert (got.a, got.b, got.k, got.m) == (*want, k, m)
 
 
 def test_conjugate_root_evaluation_agrees():

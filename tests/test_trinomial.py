@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from sympy import Poly, symbols, ZZ
 from sympy.polys.numberfields.basis import round_two
 
+from wallsunsun import trinomial
 from wallsunsun.errors import HypothesisError, InconsistencyError
 from wallsunsun.intmath import factorize, is_prime, jacobi
 from wallsunsun.trinomial import (
@@ -14,7 +15,9 @@ from wallsunsun.trinomial import (
     MonogenicityReport,
     Trinomial,
     _case4_g_h,
+    _mulmod,
     _poly_gcd,
+    _reduce,
     _valuation,
     discriminant_resultant,
     fp_discriminant,
@@ -29,7 +32,9 @@ from oracles import (
     case4_gh_exact,
     disc_from_resultant,
     poly_gcd_mod,
+    poly_mul,
     poly_rem_mod,
+    sampled_primes,
     sieve_primes,
     trial_factor,
     trinomial_coeffs,
@@ -434,6 +439,37 @@ def test_case4_reduction_matches_exact_oracle_on_general_trinomials(q, e, n0, da
     n, m = q**e * n0, q**e * m0
     qm = q ** min(_valuation(q, n), _valuation(q, m))
     _assert_case4_matches_exact_oracle(n, m, a, b, q, qm)
+
+
+PRIMES_TO_1E7 = sampled_primes(0x1E7, 100, 10**7)
+residue = st.integers(min_value=0)
+
+
+@given(
+    st.sampled_from(PRIMES_TO_1E7),
+    st.tuples(residue, residue, residue, residue, residue, residue),
+)
+@settings(deadline=None, max_examples=300, derandomize=True)
+def test_degree_2_product_matches_schoolbook_division(q, coords):
+    """The closed-form product mod a monic quadratic, against long division mod q^2."""
+    mod = q * q
+    f0, f1, h0, h1, g0, g1 = (c % mod for c in coords)
+    g = [g0, g1, 1]
+    want = poly_rem_mod(poly_mul([f0, f1], [h0, h1]), g, mod)
+    assert _mulmod([f0, f1], [h0, h1], g, mod) == want + [0] * (2 - len(want))
+
+
+@given(st.sampled_from(PRIMES_TO_1E7), st.integers(min_value=1, max_value=10**6))
+@settings(deadline=None, max_examples=100, derandomize=True)
+def test_case4_at_q_p_matches_the_generic_product(p, k):
+    """_case4_g_h on F_p at q = p, with and without the degree-2 closed form."""
+    if k % p == 0:
+        return
+    fast = _case4_g_h(2 * p, p, -k, -1, p, p)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trinomial, "_mulmod", lambda f, h, g, mod: _reduce(poly_mul(f, h), g, mod))
+        generic = _case4_g_h(2 * p, p, -k, -1, p, p)
+    assert fast == generic, (p, k)
 
 
 def test_case4_rejects_an_inconsistent_q_power():

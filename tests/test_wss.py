@@ -2,9 +2,11 @@
 
 import json
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from sympy import factorint, isprime
 
 import wallsunsun
 from wallsunsun import cli, intmath, lucas, quadring, trinomial, wss
@@ -472,3 +474,42 @@ def test_pell_wall_sun_sun_prime_is_isolated(capsys):
     window = [q for q in sieve_primes(PELL_WSS_P + 10**4) if abs(q - PELL_WSS_P) <= 10**4]
     assert PELL_WSS_P in window and len(window) > 1000
     assert [q for q in window if is_wss_by_entry(2, q)] == [PELL_WSS_P]
+
+
+def _closes(k, n, m):
+    """C^n = I mod m for the companion matrix C = [[0, 1], [1, k]], by matrix powering."""
+
+    def mul(x, y):
+        (a, b, c, d), (e, f, g, h) = x, y
+        return ((a * e + b * g) % m, (a * f + b * h) % m, (c * e + d * g) % m, (c * f + d * h) % m)
+
+    acc, base = (1, 0, 0, 1), (0, 1, 1, k % m)
+    while n:
+        if n & 1:
+            acc = mul(acc, base)
+        base = mul(base, base)
+        n >>= 1
+    return acc == (1, 0, 0, 1)
+
+
+def test_classify_agrees_at_large_p():
+    """20 seeded cells with p log-uniform in [10^9, 10^13], where every fast path runs.
+
+    sympy proves p prime and factors pi(p). U closes at pi(p) and at no
+    pi(p)/r, and it closes mod p^2 at pi(p) exactly when pi(p^2) = pi(p).
+    """
+    rng = random.Random(0x1A26E)
+    valid_k = [k for k in range(1, 200) if validate_k(k).satisfied]
+    for _ in range(20):
+        k = rng.choice(valid_k)
+        p = 4
+        while not isprime(p):
+            p = int(10 ** rng.uniform(9, 13))
+        c = classify(k, p)
+        cell = (k, p)
+        assert c.consistent, cell
+        assert _closes(k, c.pi_p, p), cell
+        for r in factorint(c.pi_p):
+            assert not _closes(k, c.pi_p // r, p), (cell, r)
+        assert c.pi_p2 in (c.pi_p, p * c.pi_p), cell
+        assert _closes(k, c.pi_p, p * p) == (c.pi_p2 == c.pi_p), cell
