@@ -35,21 +35,19 @@ DISCRIMINANT_MAX_P = 101
 def _resolve_budget(args) -> int:
     if args.factor_budget is not None:
         return args.factor_budget
-    raw = os.environ.get("WSS_FACTOR_BUDGET")
-    if raw is None:
-        return DEFAULT_FACTOR_BUDGET
+    raw = os.environ.get("WSS_FACTOR_BUDGET", str(DEFAULT_FACTOR_BUDGET))
     try:
         return int(raw)
     except ValueError:
         raise ValueError(f"WSS_FACTOR_BUDGET must be an integer, got {raw!r}") from None
 
 
-def _emit(args, command: str, inputs: dict, result: dict, text_lines: list[str], ms: float) -> None:
+def _emit(args, result: dict, text_lines: list[str], ms: float) -> None:
     if args.format == "json":
         record = {
             "schema_version": SCHEMA_VERSION,
-            "command": command,
-            "inputs": inputs,
+            "command": args.command,
+            "inputs": {name: getattr(args, name) for name in args.inputs},
             "result": result,
         }
         if args.timing:
@@ -72,11 +70,8 @@ def _classification_result(c: WssClassification) -> dict:
     return d
 
 
-def cmd_check(args) -> int:
-    budget = _resolve_budget(args)
-    t0 = time.perf_counter()
+def cmd_check(args, budget: int) -> tuple[dict, list[str]]:
     c = classify(args.k, args.p, factor_budget=budget)
-    ms = (time.perf_counter() - t0) * 1000
     delta_text = str(c.delta) if c.delta_applicable else "n/a (p = 2)"
     text = [
         f"k-Wall-Sun-Sun check: k={c.k}, p={c.p}",
@@ -90,13 +85,10 @@ def cmd_check(args) -> int:
         f"  consistent    {_yesno(c.consistent)}",
         f"  is_wss        {_yesno(c.is_wss)}",
     ]
-    _emit(args, "check", {"k": args.k, "p": args.p}, _classification_result(c), text, ms)
-    return 0
+    return _classification_result(c), text
 
 
-def cmd_search(args) -> int:
-    budget = _resolve_budget(args)
-    t0 = time.perf_counter()
+def cmd_search(args, budget: int) -> tuple[dict, list[str]]:
     res = search(
         args.k_min,
         args.k_max,
@@ -105,41 +97,29 @@ def cmd_search(args) -> int:
         jobs=args.jobs,
         factor_budget=budget,
     )
-    ms = (time.perf_counter() - t0) * 1000
     hits = []
+    text = [
+        f"search k in [{res.k_min}, {res.k_max}], primes p <= {res.p_max}, criterion={res.criterion}"
+    ]
     for h in res.hits:
         entry = {"k": h.k, "p": h.p, "pi_p": h.pi_p, "pi_p2": h.pi_p2}
         if h.classification is not None:
             entry["classification"] = _classification_result(h.classification)
         hits.append(entry)
+        text.append(f"  hit k={h.k} p={h.p} pi(p)={h.pi_p} pi(p^2)={h.pi_p2}")
     result = {
         "criterion": res.criterion,
         "hits": hits,
         "skipped_k": list(res.skipped_k),
     }
-    text = [
-        f"search k in [{res.k_min}, {res.k_max}], primes p <= {res.p_max}, criterion={res.criterion}"
-    ]
-    for h in res.hits:
-        text.append(f"  hit k={h.k} p={h.p} pi(p)={h.pi_p} pi(p^2)={h.pi_p2}")
     text.append(f"  {len(res.hits)} hit(s), {len(res.skipped_k)} skipped k")
     if res.skipped_k:
         text.append("  skipped (hypotheses fail): " + ", ".join(map(str, res.skipped_k)))
-    inputs = {
-        "k_min": args.k_min,
-        "k_max": args.k_max,
-        "p_max": args.p_max,
-        "criterion": args.criterion,
-    }
-    _emit(args, "search", inputs, result, text, ms)
-    return 0
+    return result, text
 
 
-def cmd_monogenic(args) -> int:
-    budget = _resolve_budget(args)
-    t0 = time.perf_counter()
+def cmd_monogenic(args, budget: int) -> tuple[dict, list[str]]:
     report = is_monogenic_fp(args.k, args.p, factor_budget=budget)
-    ms = (time.perf_counter() - t0) * 1000
     t, disc = report.trinomial, report.discriminant
     result = {
         "trinomial": {"N": t.N, "M": t.M, "A": t.A, "B": t.B},
@@ -156,27 +136,19 @@ def cmd_monogenic(args) -> int:
         for v in report.verdicts:
             word = "divides" if v.divides_index else "does not divide"
             text.append(f"  q={v.q} {word} the index (item {v.item_used}: {v.detail})")
-    _emit(args, "monogenic", {"k": args.k, "p": args.p}, result, text, ms)
-    return 0
+    return result, text
 
 
-def cmd_period(args) -> int:
-    budget = _resolve_budget(args)
-    t0 = time.perf_counter()
+def cmd_period(args, budget: int) -> tuple[dict, list[str]]:
     pi = pisano_period(args.k, args.m, factor_budget=budget)
-    ms = (time.perf_counter() - t0) * 1000
-    text = [f"pi({args.m}) = {pi} for k={args.k}"]
-    _emit(args, "period", {"k": args.k, "m": args.m}, {"pi": pi}, text, ms)
-    return 0
+    return {"pi": pi}, [f"pi({args.m}) = {pi} for k={args.k}"]
 
 
-def cmd_discriminant(args) -> int:
-    t0 = time.perf_counter()
+def cmd_discriminant(args, budget: int) -> tuple[dict, list[str]]:
     t = wss_trinomial(args.k, args.p)
     if args.p > DISCRIMINANT_MAX_P:
         raise ResourceBudgetError(f"resultant needs p <= {DISCRIMINANT_MAX_P}, got {args.p}")
     closed, resultant = _fp_discriminant(t), discriminant_resultant(t)
-    ms = (time.perf_counter() - t0) * 1000
     match = closed == resultant
     result = {"closed_form": closed, "resultant": resultant, "match": match}
     text = [
@@ -190,13 +162,12 @@ def cmd_discriminant(args) -> int:
             f"discriminant mismatch for k={args.k}, p={args.p}: "
             f"closed form {closed} vs resultant {resultant}"
         )
-    _emit(args, "discriminant", {"k": args.k, "p": args.p}, result, text, ms)
-    return 0
+    return result, text
 
 
-def _add_common(sub: argparse.ArgumentParser, func) -> None:
-    """The options every command shares, and func as the command's handler."""
-    sub.set_defaults(func=func)
+def _add_common(sub: argparse.ArgumentParser, func, inputs: tuple[str, ...]) -> None:
+    """The options every command shares, func as its handler, and the inputs its JSON echoes."""
+    sub.set_defaults(func=func, inputs=inputs)
     sub.add_argument("--format", choices=("text", "json"), default="text")
     sub.add_argument(
         "--factor-budget",
@@ -224,7 +195,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check = subs.add_parser("check", help="classify one (k, p) pair by all criteria")
     p_check.add_argument("--k", type=int, required=True)
     p_check.add_argument("--p", type=int, required=True)
-    _add_common(p_check, cmd_check)
+    _add_common(p_check, cmd_check, ("k", "p"))
 
     p_search = subs.add_parser("search", help="scan a (k, p) grid for hits")
     p_search.add_argument("--k-min", type=int, required=True)
@@ -232,27 +203,27 @@ def _build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--p-max", type=int, required=True)
     p_search.add_argument("--criterion", choices=CRITERIA, default="all")
     p_search.add_argument(
-        "--jobs", type=int, default=None, help="worker processes (default: cpu count)"
+        "--jobs", type=int, default=None, help="worker processes (default and cap: cpu count)"
     )
-    _add_common(p_search, cmd_search)
+    _add_common(p_search, cmd_search, ("k_min", "k_max", "p_max", "criterion"))
 
     p_mono = subs.add_parser("monogenic", help="monogenicity report for x^(2p) - k x^p - 1")
     p_mono.add_argument("--k", type=int, required=True)
     p_mono.add_argument("--p", type=int, required=True)
     p_mono.add_argument("--report", action="store_true", help="include per-prime verdicts")
-    _add_common(p_mono, cmd_monogenic)
+    _add_common(p_mono, cmd_monogenic, ("k", "p"))
 
     p_period = subs.add_parser("period", help="period of the Lucas sequence mod m")
     p_period.add_argument("--k", type=int, required=True)
     p_period.add_argument("--m", type=int, required=True)
-    _add_common(p_period, cmd_period)
+    _add_common(p_period, cmd_period, ("k", "m"))
 
     p_disc = subs.add_parser(
         "discriminant", help="closed-form discriminant with resultant cross-check"
     )
     p_disc.add_argument("--k", type=int, required=True)
     p_disc.add_argument("--p", type=int, required=True)
-    _add_common(p_disc, cmd_discriminant)
+    _add_common(p_disc, cmd_discriminant, ("k", "p"))
 
     return parser
 
@@ -264,7 +235,10 @@ def main(argv: list[str] | None = None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
-        return args.func(args)
+        budget = _resolve_budget(args)
+        t0 = time.perf_counter()
+        result, text = args.func(args, budget)
+        ms = (time.perf_counter() - t0) * 1000
     except HypothesisError as exc:
         print(f"hypothesis violation: {exc}", file=sys.stderr)
         return 1
@@ -277,6 +251,8 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"invalid arguments: {exc}", file=sys.stderr)
         return 2
+    _emit(args, result, text, ms)
+    return 0
 
 
 if __name__ == "__main__":

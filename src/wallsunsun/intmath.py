@@ -1,4 +1,4 @@
-"""Integer utilities: primality, factoring, Jacobi symbols.
+"""Integer utilities: primality, factoring, Jacobi symbols, a segmented prime sieve.
 
 Primality is deterministic for everything this package can realistically
 meet: below 3,317,044,064,679,887,385,961,981 the fixed Miller-Rabin base
@@ -13,6 +13,7 @@ costs one primality test.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -27,8 +28,6 @@ TRIAL_BOUND = 1_000
 # to here and probabilistic (but still reproducible) beyond.
 DETERMINISTIC_PRIMALITY_BOUND = 3_317_044_064_679_887_385_961_981
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-_SMALL_PRIMES = tuple(n for n in range(2, 100) if all(n % d for d in range(2, n)))
 
 
 def jacobi(a: int, n: int) -> int:
@@ -90,7 +89,20 @@ def is_prime(n: int) -> bool:
     return True
 
 
-_TRIAL_PRIMES = tuple(n for n in range(TRIAL_BOUND + 1) if is_prime(n))
+def primes_between(lo: int, hi: int) -> list[int]:
+    """The primes p with lo <= p < hi, by sieving [lo, hi) with the primes up to sqrt(hi)."""
+    lo = max(lo, 2)
+    if hi <= lo:
+        return []
+    flags = bytearray([1]) * (hi - lo)
+    for d in primes_between(2, math.isqrt(hi - 1) + 1):
+        start = max(d * d, -(-lo // d) * d) - lo
+        flags[start::d] = bytes(len(range(start, hi - lo, d)))
+    return list(itertools.compress(range(lo, hi), flags))
+
+
+_SMALL_PRIMES = tuple(primes_between(2, 100))
+_TRIAL_PRIMES = tuple(primes_between(2, TRIAL_BOUND + 1))
 
 
 def require_prime(n: int, name: str = "p") -> None:

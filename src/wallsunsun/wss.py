@@ -18,7 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .errors import CriterionUnsupportedError, InconsistencyError
-from .intmath import jacobi, require_prime
+from .intmath import jacobi, primes_between, require_prime
 from .lucas import _periods_p_p2, lucas_u
 from .quadring import _fp_alpha
 from .trinomial import WssHypotheses, _monogenic_report, is_monogenic_fp, validate_k
@@ -167,19 +167,6 @@ class SearchResult:
     skipped_k: tuple[int, ...]
 
 
-def _primes_upto(limit: int) -> list[int]:
-    if limit < 2:
-        return []
-    flags = bytearray([1]) * (limit + 1)
-    flags[0:2] = b"\x00\x00"
-    i = 2
-    while i * i <= limit:
-        if flags[i]:
-            flags[i * i :: i] = bytearray(len(range(i * i, limit + 1, i)))
-        i += 1
-    return [n for n, f in enumerate(flags) if f]
-
-
 def _cell_is_hit(k: int, p: int, hyp: WssHypotheses | None, criterion: str) -> SearchHit | None:
     """The hit at (k, p) for a sieved prime p, if any; hyp is validate_k(k) where needed."""
     if criterion == "all":
@@ -203,9 +190,10 @@ def _cell_is_hit(k: int, p: int, hyp: WssHypotheses | None, criterion: str) -> S
     return SearchHit(k=k, p=p, pi_p=pi_p, pi_p2=pi_p2)
 
 
-def _search_chunk(args: tuple) -> list[SearchHit]:
-    cells, criterion = args
-    hits = (_cell_is_hit(k, p, hyp, criterion) for k, p, hyp in cells)
+def _search_unit(unit: tuple) -> list[SearchHit]:
+    """The hits of a work unit (k, hyp, lo, hi, criterion): one k, the primes in [lo, hi)."""
+    k, hyp, lo, hi, criterion = unit
+    hits = (_cell_is_hit(k, p, hyp, criterion) for p in primes_between(lo, hi))
     return [hit for hit in hits if hit is not None]
 
 
@@ -224,7 +212,8 @@ def search(
     classification per cell. Criteria that are only meaningful under the
     hypotheses (alpha, monogenic, all) skip failing k values and report
     them in skipped_k; period and entry scan every k. The hit list is
-    sorted by (k, p) and does not depend on jobs or scheduling.
+    sorted by (k, p) and does not depend on jobs or scheduling. At most
+    min(jobs, cpu count) worker processes run; jobs <= 1 runs in-process.
     """
     if k_min < 1:
         raise ValueError(f"k_min must be >= 1, got {k_min}")
@@ -235,7 +224,7 @@ def search(
     if criterion not in CRITERIA:
         raise ValueError(f"criterion must be one of {CRITERIA}, got {criterion!r}")
 
-    # The cells of a k get its hypotheses from here, so workers never factor.
+    # The units of a k get its hypotheses from here, so workers never factor.
     needs_hypotheses = criterion in ("alpha", "monogenic", "all")
     skipped = []
     scan = []
@@ -245,27 +234,28 @@ def search(
             scan.append((k, hyp))
         else:
             skipped.append(k)
-    primes = _primes_upto(p_max)
-    cells = [(k, p, hyp) for k, hyp in scan for p in primes]
 
     if jobs is None:
         jobs = os.cpu_count() or 1
-    hits: list[SearchHit] = []
-    if jobs <= 1 or len(cells) <= 1:
-        hits = _search_chunk((cells, criterion))
+    # Units are in (k, p) order and map keeps it, so the hits come sorted.
+    ranges = -(-max(jobs, 1) * 4 // max(len(scan), 1))
+    width = -(-(p_max - 1) // ranges)
+    units = [
+        (k, hyp, lo, min(lo + width, p_max + 1), criterion)
+        for k, hyp in scan
+        for lo in range(2, p_max + 1, width)
+    ]
+    workers = min(jobs, os.cpu_count() or 1, len(units))
+    if workers <= 1:
+        parts = list(map(_search_unit, units))
     else:
-        nchunks = min(len(cells), jobs * 4)
-        size = -(-len(cells) // nchunks)
-        chunks = [(cells[i : i + size], criterion) for i in range(0, len(cells), size)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part in pool.map(_search_chunk, chunks):
-                hits.extend(part)
-    hits.sort(key=lambda h: (h.k, h.p))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(_search_unit, units))
     return SearchResult(
         criterion=criterion,
         k_min=k_min,
         k_max=k_max,
         p_max=p_max,
-        hits=tuple(hits),
+        hits=tuple(hit for part in parts for hit in part),
         skipped_k=tuple(skipped),
     )

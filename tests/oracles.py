@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 import random
 
+from hypothesis import strategies as st
+
 
 def u_sequence(k: int, length: int, m: int | None = None) -> list[int]:
     """First `length` terms of U_0=0, U_1=1, U_n = k*U_{n-1} + U_{n-2}."""
@@ -158,6 +160,19 @@ def sampled_primes(seed: int, count: int, limit: int) -> list[int]:
             n -= 1
         drawn.append(n)
     return sieve_primes(100) + sorted(drawn)
+
+
+def log_uniform_integers(min_value: int, max_value: int):
+    """A Hypothesis strategy for integers in [min_value, max_value], power of ten first.
+
+    A wide st.integers range is drawn mostly at its small end. Here each
+    decade is drawn about equally often and the top one twice as often, so
+    well over a tenth of the draws land within a factor of ten of max_value.
+    """
+    low, top = len(str(min_value)) - 1, len(str(max_value - 1)) - 1
+    return st.sampled_from([*range(low, top + 1), top]).flatmap(
+        lambda e: st.integers(min_value if e == low else 10**e, min(max_value, 10 ** (e + 1)))
+    )
 
 
 def squarefree_slow(n: int) -> bool:

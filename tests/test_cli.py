@@ -210,6 +210,24 @@ def test_monogenic_report_toggle(capsys):
     assert all(v["divides_index"] is False for v in verdicts)
 
 
+@pytest.mark.parametrize(
+    "argv,inputs",
+    [
+        (("check", "--k", "2", "--p", "13"), {"k": 2, "p": 13}),
+        (("search", "--k-min", "1", "--k-max", "3", "--p-max", "20", "--jobs", "1"),
+         {"k_min": 1, "k_max": 3, "p_max": 20, "criterion": "all"}),
+        (("monogenic", "--k", "1", "--p", "3", "--report"), {"k": 1, "p": 3}),
+        (("period", "--k", "1", "--m", "10"), {"k": 1, "m": 10}),
+        (("discriminant", "--k", "2", "--p", "13"), {"k": 2, "p": 13}),
+    ],
+)
+def test_json_inputs_echo_what_determines_the_result(capsys, argv, inputs):
+    # --jobs and --report are left out: the result does not depend on --jobs,
+    # and --report only adds the verdicts field
+    doc = run_json(capsys, *argv)
+    assert (doc["command"], doc["inputs"]) == (argv[0], inputs)
+
+
 def test_search_json_shape_and_known_hits(capsys):
     doc = run_json(capsys, "search", "--k-min", "1", "--k-max", "4", "--p-max", "50")
     result = doc["result"]
@@ -318,6 +336,14 @@ def test_malformed_budget_env_is_invalid_arguments(capsys, monkeypatch):
     monkeypatch.setenv("WSS_FACTOR_BUDGET", "ten")
     code, _, err = run_cli(capsys, "check", "--k", "2", "--p", "3")
     assert code == 2
+    assert "WSS_FACTOR_BUDGET" in err
+
+
+def test_malformed_budget_env_is_invalid_arguments_for_discriminant_too(capsys, monkeypatch):
+    # discriminant factors nothing, but every command resolves the budget the same way
+    monkeypatch.setenv("WSS_FACTOR_BUDGET", "ten")
+    code, out, err = run_cli(capsys, "discriminant", "--k", "2", "--p", "13")
+    assert (code, out) == (2, "")
     assert "WSS_FACTOR_BUDGET" in err
 
 

@@ -1,5 +1,6 @@
 """Integer arithmetic layer: Jacobi, primality, factoring."""
 
+import bisect
 import math
 import multiprocessing
 import pickle
@@ -21,6 +22,7 @@ from wallsunsun.intmath import (
     factorize,
     is_prime,
     jacobi,
+    primes_between,
 )
 
 from oracles import legendre_euler, sieve_primes, squarefree_slow, trial_factor
@@ -125,6 +127,44 @@ def test_is_prime_above_deterministic_bound_is_stable():
     n = DETERMINISTIC_PRIMALITY_BOUND * 4 + 3
     first = is_prime(n)
     assert all(is_prime(n) == first for _ in range(3))
+
+
+# ---------------------------------------------------------------- primes_between
+
+PRIMES_1E6 = sieve_primes(10**6)
+
+
+def _oracle_between(lo, hi):
+    """The primes p with lo <= p < hi, cut from the oracle sieve."""
+    return PRIMES_1E6[bisect.bisect_left(PRIMES_1E6, lo) : bisect.bisect_left(PRIMES_1E6, hi)]
+
+
+def test_primes_between_matches_the_sieve_for_every_hi_to_3000():
+    for hi in range(3001):
+        for lo in (-5, 2, hi // 2, hi - 1, hi):
+            assert primes_between(lo, hi) == _oracle_between(lo, hi), (lo, hi)
+
+
+def test_primes_between_matches_the_sieve_on_seeded_segments_to_1e6():
+    rng = random.Random(0x5E6)
+    for _ in range(300):
+        lo = rng.randrange(-10, 10**6)
+        hi = min(10**6, lo + rng.randrange(-100, 5000))  # hi <= lo gives an empty range
+        assert primes_between(lo, hi) == _oracle_between(lo, hi), (lo, hi)
+
+
+def test_primes_between_partitions_exactly():
+    rng = random.Random(0xAB)
+    for _ in range(100):
+        a, b, c = sorted(rng.randrange(-10, 10**6) for _ in range(3))
+        c = min(c, a + 20_000)
+        b = min(b, c)
+        assert primes_between(a, b) + primes_between(b, c) == primes_between(a, c), (a, b, c)
+
+
+def test_the_trial_and_small_prime_tables_come_from_the_sieve():
+    assert intmath._SMALL_PRIMES == tuple(_oracle_between(0, 100))
+    assert intmath._TRIAL_PRIMES == tuple(_oracle_between(0, TRIAL_BOUND + 1))
 
 
 # ---------------------------------------------------------------- factorize
@@ -238,7 +278,7 @@ def test_factorize_budget_error_crosses_the_process_pool_boundary():
 # trial-division oracle where it stays cheap. The constructed cases aim at
 # what trial division no longer reaches: factors above TRIAL_BOUND.
 
-MID_PRIMES = [q for q in sieve_primes(10**6) if q > TRIAL_BOUND]
+MID_PRIMES = [q for q in PRIMES_1E6 if q > TRIAL_BOUND]
 
 
 def _assert_factorization(n, expected):

@@ -10,7 +10,15 @@ from wallsunsun.errors import InconsistencyError
 from wallsunsun.intmath import jacobi
 from wallsunsun.lucas import lucas_u, period_p_squared, pisano_period
 
-from oracles import is_wss_brute, matrix_order, sieve_primes, state_period, trial_factor, u_term
+from oracles import (
+    is_wss_brute,
+    log_uniform_integers,
+    matrix_order,
+    sieve_primes,
+    state_period,
+    trial_factor,
+    u_term,
+)
 
 RNG_SEED = 0x5EED
 PRIMES_200 = sieve_primes(200)
@@ -40,8 +48,8 @@ def test_fast_doubling_agrees_with_iteration_on_stated_grid():
 
 @given(
     k=st.integers(min_value=1, max_value=10**6),
-    n=st.integers(min_value=0, max_value=10**9),
-    m=st.integers(min_value=2, max_value=10**9),
+    n=log_uniform_integers(0, 10**9),
+    m=log_uniform_integers(2, 10**9),
 )
 def test_lucas_u_index_addition_identity(k, n, m):
     # U_{2n+1} = U_{n+1}^2 + U_n^2 specializes the addition law; an
@@ -49,6 +57,21 @@ def test_lucas_u_index_addition_identity(k, n, m):
     un = lucas_u(k, n, m)
     un1 = lucas_u(k, n + 1, m)
     assert lucas_u(k, 2 * n + 1, m) == (un1 * un1 + un * un) % m
+
+
+@pytest.mark.parametrize("min_value,max_value", [(0, 10**9), (2, 10**9), (2, 10**4), (1, 10**6)])
+def test_log_uniform_draws_reach_the_top_decade(min_value, max_value):
+    """At least a tenth of the draws land in [max_value / 10, max_value], and none outside."""
+    drawn = []
+
+    @settings(max_examples=100, derandomize=True, database=None)
+    @given(log_uniform_integers(min_value, max_value))
+    def draw(n):
+        drawn.append(n)
+
+    draw()
+    assert min_value <= min(drawn) and max(drawn) <= max_value
+    assert sum(n >= max_value // 10 for n in drawn) >= len(drawn) / 10
 
 
 @given(

@@ -10,7 +10,14 @@ from wallsunsun.lucas import lucas_u, pisano_period
 from wallsunsun.quadring import QuadElem, conjugate, eval_fp_alpha
 from wallsunsun.wss import validate_k
 
-from oracles import quad_mul, quad_pow_slow, sampled_primes, sieve_primes, trial_factor
+from oracles import (
+    log_uniform_integers,
+    quad_mul,
+    quad_pow_slow,
+    sampled_primes,
+    sieve_primes,
+    trial_factor,
+)
 
 RNG = random.Random(0xA1FA)
 PRIMES_TO_1E7 = st.sampled_from(sampled_primes(0x1E7, 100, 10**7))
@@ -144,8 +151,8 @@ def test_alpha_power_tracks_lucas_sequence():
 
 @given(
     k=st.integers(min_value=1, max_value=30),
-    m=st.integers(min_value=2, max_value=10**4),
-    n=st.integers(min_value=1, max_value=10**6),
+    m=log_uniform_integers(2, 10**4),
+    n=log_uniform_integers(1, 10**6),
 )
 @settings(deadline=None)
 def test_pow_is_the_lucas_closed_form(k, m, n):

@@ -1,8 +1,10 @@
 """Hypothesis validation, the four criteria, classify, and search."""
 
 import json
+import multiprocessing
 import pickle
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -276,6 +278,68 @@ def test_search_results_are_sorted_and_deterministic_across_jobs():
     assert a.hits == b.hits == c.hits
     assert a.skipped_k == b.skipped_k
     assert a.hits == tuple(sorted(a.hits, key=lambda h: (h.k, h.p)))
+
+
+@pytest.mark.parametrize(
+    "window,hit_ps,skipped",
+    [
+        ((2, 2, 5000), [13, 31], ()),  # a single k: its range alone is cut into the units
+        ((11, 12, 500), [], (11, 12)),  # every k fails the hypotheses: no unit at all
+    ],
+)
+def test_search_results_do_not_depend_on_jobs(window, hit_ps, skipped):
+    # jobs 0 and -1 run in-process like jobs 1
+    results = [search(*window, "all", jobs=jobs) for jobs in (1, 2, 4, 0, -1)]
+    assert all(res == results[0] for res in results)
+    assert [h.p for h in results[0].hits] == hit_ps
+    assert results[0].skipped_k == skipped
+
+
+def test_search_starts_at_most_one_worker_per_cpu_and_per_unit(monkeypatch):
+    started = []
+
+    class SerialPool:
+        """Stands in for ProcessPoolExecutor: records max_workers and maps in-process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable):
+            return map(fn, iterable)
+
+    before = set(multiprocessing.active_children())
+    monkeypatch.setattr(wss, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(wss.os, "cpu_count", lambda: 3)
+    reference = search(1, 6, 150, "all", jobs=1)
+    assert search(1, 6, 150, "all", jobs=5000) == reference
+    assert search(1, 6, 150, "all", jobs=2) == reference
+    monkeypatch.setattr(wss.os, "cpu_count", lambda: 64)
+    # p_max = 10 leaves 9 integers in [2, 10], so at most 9 units whatever jobs is
+    assert search(2, 2, 10, "period", jobs=5000) == search(2, 2, 10, "period", jobs=1)
+    monkeypatch.setattr(wss.os, "cpu_count", lambda: None)
+    assert search(1, 6, 150, "all", jobs=4) == reference
+    assert started == [3, 2, 9]
+    assert not set(multiprocessing.active_children()) - before
+
+
+def test_search_allocates_no_object_per_cell(monkeypatch):
+    # 20 k times the 1,000 primes up to 7,919 is 20,000 cells. The criterion is
+    # stubbed out so that only the driver allocates; an object per cell would
+    # cost tens of bytes per cell.
+    monkeypatch.setattr(wss, "_cell_is_hit", lambda k, p, hyp, criterion: None)
+    tracemalloc.start()
+    try:
+        search(1, 20, 7919, "entry", jobs=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 20_000, peak
 
 
 def test_search_validation():
