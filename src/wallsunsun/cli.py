@@ -64,7 +64,7 @@ def _yesno(flag: bool) -> str:
 
 
 def _classification_result(c: WssClassification) -> dict:
-    d = asdict(c)
+    d = dict(vars(c))  # every field is an int or a bool, so a shallow copy is the asdict
     del d["k"], d["p"]
     d["is_wss"] = c.is_wss
     return d

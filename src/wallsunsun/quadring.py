@@ -96,24 +96,28 @@ def eval_fp_alpha(k: int, p: int) -> QuadElem:
     for p being a k-Wall-Sun-Sun prime.
     """
     require_prime(p)
-    return _fp_alpha(k, p)
+    return QuadElem(*_fp_alpha(k, p), k, p * p)
 
 
-def _fp_alpha(k: int, p: int) -> QuadElem:
-    """eval_fp_alpha for a p the caller has proven prime."""
+def _fp_alpha(k: int, p: int) -> tuple[int, int]:
+    """eval_fp_alpha as a reduced pair, for a p the caller has proven prime."""
     # ap = a + b*alpha = alpha^p; with alpha^2 = k*alpha + 1,
     # ap^2 - k*ap - 1 = (a^2 + b^2 - k*a - 1) + b*(2a + k*b - k)*alpha.
-    a, b = _pair_pow(0, 1, p, k, p * p)
-    return QuadElem(a * a + b * b - k * a - 1, b * (2 * a + k * b - k), k, p * p)
+    m = p * p
+    a, b = _pair_pow(0, 1, p, k, m)
+    return (a * a + b * b - k * a - 1) % m, b * (2 * a + k * b - k) % m
 
 
-def _pair_pow(a: int, b: int, e: int, k: int, m: int) -> tuple[int, int]:
-    """(a + b*alpha)^e in R_m by square-and-multiply on coordinate pairs; e >= 0."""
-    ra, rb = 1, 0
-    while e:
-        if e & 1:
-            ra, rb = (ra * a + rb * b) % m, (ra * b + rb * (a + k * b)) % m
-        e >>= 1
-        if e:
-            a, b = (a * a + b * b) % m, b * (2 * a + k * b) % m
-    return ra, rb
+def _pair_pow(x: int, y: int, e: int, k: int, m: int) -> tuple[int, int]:
+    """(x + y*alpha)^e in R_m by left-to-right square-and-multiply on pairs; e >= 0.
+
+    Each bit of e squares the running (a, b); a set bit then multiplies by
+    the fixed base, which for alpha itself is the shift (a, b) -> (b, a + k*b).
+    """
+    z = x + k * y
+    a, b = 1, 0
+    for bit in bin(e)[2:]:
+        a, b = (a * a + b * b) % m, b * (2 * a + k * b) % m
+        if bit == "1":
+            a, b = (a * x + b * y) % m, (a * y + b * z) % m
+    return a, b

@@ -205,12 +205,13 @@ def index_d_value(t: Trinomial) -> tuple[int, int]:
     D = N^N1 * B^(N1-M1) - (-1)^N1 * M^M1 * (N-M)^(N1-M1) * A^N1.
     r^N1 always divides D; the division is checked.
     """
-    n1, m1 = t.n1, t.m1
+    r = math.gcd(t.N, t.M)
+    n1, m1 = t.N // r, t.M // r
     d = (
         t.N**n1 * t.B ** (n1 - m1)
         - (-1) ** n1 * t.M**m1 * (t.N - t.M) ** (n1 - m1) * t.A**n1
     )
-    norm, rem = divmod(d, t.r**n1)
+    norm, rem = divmod(d, r**n1)
     if rem:
         raise InconsistencyError(f"r^N1 does not divide D for {t}")
     return d, norm
@@ -320,17 +321,18 @@ def index_check_prime(t: Trinomial, q: int) -> IndexVerdict:
     so the discriminant itself is never built.
     """
     require_prime(q, "q")
-    return _index_verdict(t, q)
+    return _index_verdict(t, q, index_d_value(t))
 
 
-def _index_verdict(t: Trinomial, q: int) -> IndexVerdict:
-    """index_check_prime for a q the caller has proven prime."""
-    d, norm = index_d_value(t)
-    if not ((t.M > 1 and t.B % q == 0) or d % q == 0):
+def _index_verdict(t: Trinomial, q: int, d_value: tuple[int, int]) -> IndexVerdict:
+    """index_check_prime for a q the caller has proven prime; d_value is index_d_value(t)."""
+    d, norm = d_value
+    n, m, a, b = t.N, t.M, t.A, t.B
+    if not ((m > 1 and b % q == 0) or d % q == 0):
         raise ValueError(f"q = {q} does not divide the discriminant of {t}")
 
-    n, m, a, b = t.N, t.M, t.A, t.B
-    n1, m1 = t.n1, t.m1
+    r = math.gcd(n, m)
+    n1, m1 = n // r, m // r
     q2 = q * q
 
     if a % q == 0 and b % q == 0:
@@ -412,7 +414,8 @@ def _monogenic_report(hyp: WssHypotheses, p: int) -> MonogenicityReport:
     # primes(k^2+4) = primes(D): D = k^2+4 for odd k, and for k = 2 mod 4,
     # D = (k/2)^2 + 1 is even, so dividing by 4 loses no prime.
     qs = sorted({p, *hyp.factorization.primes()})
-    verdicts = tuple(_index_verdict(t, q) for q in qs)
+    d_value = index_d_value(t)
+    verdicts = tuple(_index_verdict(t, q, d_value) for q in qs)
     return MonogenicityReport(
         trinomial=t,
         verdicts=verdicts,

@@ -14,7 +14,6 @@ all of them side by side as a cross-check:
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .errors import CriterionUnsupportedError, InconsistencyError
@@ -24,6 +23,8 @@ from .quadring import _fp_alpha
 from .trinomial import WssHypotheses, _monogenic_report, is_monogenic_fp, validate_k
 
 CRITERIA = ("period", "entry", "alpha", "monogenic", "all")
+# The widest p-range one search unit sieves, so a unit's memory does not grow with p_max.
+UNIT_WIDTH = 2**18
 
 
 @dataclass(frozen=True)
@@ -89,7 +90,7 @@ def is_wss_by_alpha(k: int, p: int, *, factor_budget: int | None = None) -> bool
         )
     validate_k(k, factor_budget=factor_budget).require()
     require_prime(p)
-    return _fp_alpha(k, p).is_zero()
+    return _fp_alpha(k, p) == (0, 0)
 
 
 def is_wss_by_monogenicity(k: int, p: int, *, factor_budget: int | None = None) -> bool:
@@ -121,7 +122,7 @@ def _classify(hyp: WssHypotheses, p: int, *, factor_budget: int | None = None) -
     else:
         delta, applicable = jacobi(k * k + 4, p), True
         by_entry = _entry_hit(k, p, delta)
-        by_alpha = _fp_alpha(k, p).is_zero()
+        by_alpha = _fp_alpha(k, p) == (0, 0)
         derived = False
     by_monogenic = not _monogenic_report(hyp, p).monogenic
     consistent = by_period == by_entry == by_alpha == by_monogenic
@@ -178,7 +179,7 @@ def _cell_is_hit(k: int, p: int, hyp: WssHypotheses | None, criterion: str) -> S
     if criterion == "entry" and p != 2:
         hit = _entry_hit(k, p, jacobi(k * k + 4, p))
     elif criterion == "alpha" and p != 2:
-        hit = _fp_alpha(k, p).is_zero()
+        hit = _fp_alpha(k, p) == (0, 0)
     elif criterion == "monogenic":
         hit = not _monogenic_report(hyp, p).monogenic
     else:
@@ -239,7 +240,7 @@ def search(
         jobs = os.cpu_count() or 1
     # Units are in (k, p) order and map keeps it, so the hits come sorted.
     ranges = -(-max(jobs, 1) * 4 // max(len(scan), 1))
-    width = -(-(p_max - 1) // ranges)
+    width = min(-(-(p_max - 1) // ranges), UNIT_WIDTH)
     units = [
         (k, hyp, lo, min(lo + width, p_max + 1), criterion)
         for k, hyp in scan
@@ -249,6 +250,9 @@ def search(
     if workers <= 1:
         parts = list(map(_search_unit, units))
     else:
+        # Imported here: the pool pulls in multiprocessing, which in-process runs never need.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_search_unit, units))
     return SearchResult(

@@ -95,6 +95,22 @@ def quad_mul(x: tuple[int, int], y: tuple[int, int], k: int, m: int) -> tuple[in
     return (a1 * a2 + b1 * b2) % m, (a1 * b2 + a2 * b1 + k * b1 * b2) % m
 
 
+def quad_pow_rtl(a: int, b: int, e: int, k: int, m: int) -> tuple[int, int]:
+    """(a + b*alpha)^e mod m as a pair by right-to-left square-and-multiply.
+
+    The bits of e are read low to high: the base is squared at every bit and
+    folded into the result at each set bit.
+    """
+    ra, rb = 1 % m, 0
+    while e:
+        if e & 1:
+            ra, rb = (ra * a + rb * b) % m, (ra * b + rb * (a + k * b)) % m
+        e >>= 1
+        if e:
+            a, b = (a * a + b * b) % m, b * (2 * a + k * b) % m
+    return ra, rb
+
+
 def quad_pow_slow(a: int, b: int, e: int, k: int, m: int) -> tuple[int, int]:
     """(a + b*alpha)^e mod m as a pair, by repeated multiplication only.
 

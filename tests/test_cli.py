@@ -376,6 +376,21 @@ def test_module_invocation_end_to_end():
     assert "timing_ms=" in proc.stderr
 
 
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # Only a search that starts workers needs multiprocessing; check and
+    # in-process searches should not pay for importing it.
+    src = str(Path(wallsunsun.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import wallsunsun.cli; "
+        "print([m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def declared_console_script(name):
     """The ``[project.scripts]`` value for ``name`` in this checkout's pyproject.toml."""
     with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:

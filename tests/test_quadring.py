@@ -7,12 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from wallsunsun.intmath import jacobi
 from wallsunsun.lucas import lucas_u, pisano_period
-from wallsunsun.quadring import QuadElem, conjugate, eval_fp_alpha
+from wallsunsun.quadring import QuadElem, _fp_alpha, _pair_pow, conjugate, eval_fp_alpha
 from wallsunsun.wss import validate_k
 
 from oracles import (
     log_uniform_integers,
     quad_mul,
+    quad_pow_rtl,
     quad_pow_slow,
     sampled_primes,
     sieve_primes,
@@ -175,6 +176,33 @@ def test_pow_matches_repeated_multiplication(k, p, coords, e):
     assert (got.a, got.b) == quad_pow_slow(a, b, e, k, p * p)
 
 
+def test_pair_pow_small_exponents_match_both_oracles():
+    """e = 0, 1, 2 exercise the ladder's first bits: no step, one set bit, one square."""
+    for p in sampled_primes(0x5EED, 20, 10**7):
+        m = p * p
+        for k in (1, 2, 3, 10**4):
+            for x, y in [(0, 1), (1, 0), (m - 1, m - 1), (RNG.randrange(m), RNG.randrange(m))]:
+                for e in (0, 1, 2):
+                    want = quad_pow_rtl(x, y, e, k, m)
+                    assert _pair_pow(x, y, e, k, m) == want == quad_pow_slow(x, y, e, k, m), (
+                        p, k, x, y, e,
+                    )
+
+
+@given(
+    k=st.integers(min_value=1, max_value=10**4),
+    p=PRIMES_TO_1E7,
+    coords=st.tuples(*[st.integers(min_value=0, max_value=10**14)] * 2),
+    e=log_uniform_integers(0, 10**13),
+)
+@settings(deadline=None, max_examples=150, derandomize=True)
+def test_pair_pow_matches_the_right_to_left_oracle(k, p, coords, e):
+    """The left-to-right ladder against the right-to-left loop it replaced, in R_{p^2}."""
+    m = p * p
+    x, y = (c % m for c in coords)
+    assert _pair_pow(x, y, e, k, m) == quad_pow_rtl(x, y, e, k, m)
+
+
 def test_pow_zero_exponent_is_one():
     assert (QuadElem.alpha(5, 37) ** 0).is_one()
 
@@ -245,6 +273,16 @@ def test_eval_fp_alpha_matches_repeated_multiplication(k, p):
     want = ((a - k * ap[0] - 1) % m, (b - k * ap[1]) % m)
     got = eval_fp_alpha(k, p)
     assert (got.a, got.b, got.k, got.m) == (*want, k, m)
+
+
+@given(k=st.integers(min_value=1, max_value=10**4), p=PRIMES_TO_1E7)
+@settings(deadline=None, max_examples=60, derandomize=True)
+def test_fp_alpha_pair_matches_ring_operations(k, p):
+    """The closed-form evaluation of ap^2 - k*ap - 1 against QuadElem arithmetic."""
+    m = p * p
+    ap = QuadElem.alpha(k, m) ** p
+    want = ap * ap - QuadElem.scalar(k, k, m) * ap - QuadElem.one(k, m)
+    assert _fp_alpha(k, p) == (want.a, want.b)
 
 
 def test_conjugate_root_evaluation_agrees():

@@ -1,5 +1,6 @@
 """Hypothesis validation, the four criteria, classify, and search."""
 
+import concurrent.futures
 import json
 import multiprocessing
 import pickle
@@ -314,7 +315,7 @@ def test_search_starts_at_most_one_worker_per_cpu_and_per_unit(monkeypatch):
             return map(fn, iterable)
 
     before = set(multiprocessing.active_children())
-    monkeypatch.setattr(wss, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(wss.os, "cpu_count", lambda: 3)
     reference = search(1, 6, 150, "all", jobs=1)
     assert search(1, 6, 150, "all", jobs=5000) == reference
@@ -326,6 +327,38 @@ def test_search_starts_at_most_one_worker_per_cpu_and_per_unit(monkeypatch):
     assert search(1, 6, 150, "all", jobs=4) == reference
     assert started == [3, 2, 9]
     assert not set(multiprocessing.active_children()) - before
+
+
+def test_search_units_are_capped_and_partition_each_k_range(monkeypatch):
+    # At p_max = 10^7 an uncapped unit would sieve a quarter of [2, p_max]. The
+    # units are recorded and no cell runs, so nothing is sieved.
+    mapped = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable):
+            mapped.extend(iterable)
+            return map(fn, mapped)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(wss.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(wss, "_search_unit", lambda unit: [])
+    p_max = 10**7
+    assert search(1, 3, p_max, "entry", jobs=2).hits == ()
+    assert {unit[0] for unit in mapped} == {1, 2, 3}
+    for k in (1, 2, 3):
+        ranges = [(lo, hi) for uk, _, lo, hi, _ in mapped if uk == k]
+        assert all(0 < hi - lo <= wss.UNIT_WIDTH for lo, hi in ranges)
+        bounds = [2] + [hi for _, hi in ranges]
+        assert [lo for lo, _ in ranges] == bounds[:-1] and bounds[-1] == p_max + 1, k
 
 
 def test_search_allocates_no_object_per_cell(monkeypatch):
