@@ -33,13 +33,18 @@ DISCRIMINANT_MAX_P = 101
 
 
 def _resolve_budget(args) -> int:
+    """--factor-budget, else WSS_FACTOR_BUDGET, else the default; ValueError unless an int >= 0."""
     if args.factor_budget is not None:
-        return args.factor_budget
-    raw = os.environ.get("WSS_FACTOR_BUDGET", str(DEFAULT_FACTOR_BUDGET))
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"WSS_FACTOR_BUDGET must be an integer, got {raw!r}") from None
+        budget, source = args.factor_budget, "--factor-budget"
+    else:
+        raw = os.environ.get("WSS_FACTOR_BUDGET", str(DEFAULT_FACTOR_BUDGET))
+        try:
+            budget, source = int(raw), "WSS_FACTOR_BUDGET"
+        except ValueError:
+            raise ValueError(f"WSS_FACTOR_BUDGET must be an integer, got {raw!r}") from None
+    if budget < 0:
+        raise ValueError(f"{source} must be >= 0, got {budget}")
+    return budget
 
 
 def _emit(args, result: dict, text_lines: list[str], ms: float) -> None:

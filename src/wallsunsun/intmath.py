@@ -171,13 +171,15 @@ def factorize(n: int, *, budget: int | None = None) -> Factorization:
     Primes up to TRIAL_BOUND are divided out; a cofactor left over goes to
     is_prime, then a square check, then rho. budget caps the rho iterations
     (default 10**7), which pay for every factor above TRIAL_BOUND, those
-    below 10**6 included. The error carries whatever part did factor plus
-    the composite cofactor that did not.
+    below 10**6 included; a negative budget is a ValueError. The error carries
+    whatever part did factor plus the composite cofactor that did not.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if budget is None:
         budget = DEFAULT_FACTOR_BUDGET
+    elif budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     original = n
     counts: dict[int, int] = {}
     for d in _TRIAL_PRIMES:

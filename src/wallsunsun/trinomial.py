@@ -248,7 +248,18 @@ def _reduce(f: list[int], g: list[int], mod: int) -> list[int]:
 
 
 def _poly_gcd(f: list[int], g: list[int], q: int) -> list[int]:
-    """Monic gcd over F_q (empty list for gcd of two zero polynomials)."""
+    """Monic gcd over F_q (empty list for gcd of two zero polynomials).
+
+    A monic quadratic f with a g of two coefficients, which is what case 4
+    gives at q = p, takes the closed form: g = h0 + h1 x with h1 nonzero
+    shares a factor with f exactly when its root r = -h0/h1 is a root of f.
+    """
+    if len(f) == 3 and f[2] % q == 1 and len(g) == 2:
+        (f0, f1, _), (h0, h1) = f, g
+        if h1 % q:
+            r = -h0 * pow(h1, -1, q) % q
+            return [-r % q, 1] if (r * r + f1 * r + f0) % q == 0 else [1]
+        return [1] if h0 % q else [f0 % q, f1 % q, 1]
     f = _trim([c % q for c in f])
     g = _trim([c % q for c in g])
     while g:
@@ -262,10 +273,6 @@ def _poly_gcd(f: list[int], g: list[int], q: int) -> list[int]:
 
 def _mulmod(f: list[int], h: list[int], g: list[int], mod: int) -> list[int]:
     """f*h mod (g, mod) for f, h reduced mod the monic g."""
-    if len(g) == 3:  # x^2 = -g1*x - g0, the case-4 G of every F_p at q = p
-        (f0, f1), (h0, h1), (g0, g1, _) = f, h, g
-        t = f1 * h1
-        return [(f0 * h0 - g0 * t) % mod, (f0 * h1 + f1 * h0 - g1 * t) % mod]
     prod = [0] * (len(f) + len(h) - 1)
     for i, fi in enumerate(f):
         if fi:
@@ -287,6 +294,22 @@ def _powmod(base: list[int], e: int, g: list[int], mod: int) -> list[int]:
     return result
 
 
+def _pair_powmod(x: int, y: int, e: int, g0: int, g1: int, mod: int) -> tuple[int, int]:
+    """(x + y*X)^e in (Z/mod)[X]/(X^2 + g1*X + g0) by left-to-right square-and-multiply.
+
+    Each bit of e squares the running pair (a, b); a set bit then multiplies
+    it by the base. X^2 = -g1*X - g0 folds each product back to a pair.
+    """
+    a, b = 1, 0
+    for bit in bin(e)[2:]:
+        t = b * b
+        a, b = (a * a - g0 * t) % mod, (2 * a * b - g1 * t) % mod
+        if bit == "1":
+            t = b * y
+            a, b = (a * x - g0 * t) % mod, (a * y + b * x - g1 * t) % mod
+    return a, b
+
+
 def _case4_g_h(N: int, M: int, A: int, B: int, q: int, qm: int) -> tuple[list[int], list[int]]:
     """The case-4 pair (G mod q, (H mod G) mod q), little-endian.
 
@@ -299,14 +322,21 @@ def _case4_g_h(N: int, M: int, A: int, B: int, q: int, qm: int) -> tuple[list[in
     numerator is powered in (Z/q^2)[x]/(G), checked to be divisible by q
     (C(qm, i) carries a factor q for 0 < i < qm, and Fermat kills
     c + (-c)^qm), and divided. That is O(deg(G)^2 log M) work: O(log p) at
-    q = p for x^{2p} - k x^p - 1.
+    q = p for x^{2p} - k x^p - 1, where G is quadratic and both powers are
+    taken on coordinate pairs.
     """
     mod = q * q
     g = [c % mod for c in Trinomial(N // qm, M // qm, A, B).coeffs()]
-    x_m = _powmod([0, 1], M, g, mod)
-    num = _powmod([-c for c in g[:-1]], qm, g, mod)  # (-A x^(M/qm) - B)^qm
-    num = [(c + A * xc) % mod for c, xc in zip(num, x_m)]
-    num[0] = (num[0] + B) % mod
+    if N // qm == 2:
+        # G = x^2 + A x + B, with A and B unreduced: small factors in every product
+        x0, x1 = _pair_powmod(0, 1, M, B, A, mod)
+        n0, n1 = _pair_powmod(-B, -A, qm, B, A, mod)  # (-A x - B)^qm
+        num = [(n0 + A * x0 + B) % mod, (n1 + A * x1) % mod]
+    else:
+        x_m = _powmod([0, 1], M, g, mod)
+        num = _powmod([-c for c in g[:-1]], qm, g, mod)  # (-A x^(M/qm) - B)^qm
+        num = [(c + A * xc) % mod for c, xc in zip(num, x_m)]
+        num[0] = (num[0] + B) % mod
     if any(c % q for c in num):
         raise InconsistencyError(f"q = {q} does not divide the case-4 numerator (qm = {qm})")
     return [c % q for c in g], [c // q for c in num]

@@ -168,10 +168,12 @@ class SearchResult:
     skipped_k: tuple[int, ...]
 
 
-def _cell_is_hit(k: int, p: int, hyp: WssHypotheses | None, criterion: str) -> SearchHit | None:
+def _cell_is_hit(
+    k: int, p: int, hyp: WssHypotheses | None, criterion: str, factor_budget: int | None
+) -> SearchHit | None:
     """The hit at (k, p) for a sieved prime p, if any; hyp is validate_k(k) where needed."""
     if criterion == "all":
-        c = _classify(hyp, p)
+        c = _classify(hyp, p, factor_budget=factor_budget)
         if not c.is_wss:
             return None
         return SearchHit(k=k, p=p, pi_p=c.pi_p, pi_p2=c.pi_p2, classification=c)
@@ -183,18 +185,18 @@ def _cell_is_hit(k: int, p: int, hyp: WssHypotheses | None, criterion: str) -> S
     elif criterion == "monogenic":
         hit = not _monogenic_report(hyp, p).monogenic
     else:
-        pi_p, pi_p2 = _periods_p_p2(k, p)
+        pi_p, pi_p2 = _periods_p_p2(k, p, factor_budget=factor_budget)
         return SearchHit(k=k, p=p, pi_p=pi_p, pi_p2=pi_p2) if pi_p == pi_p2 else None
     if not hit:
         return None
-    pi_p, pi_p2 = _periods_p_p2(k, p)
+    pi_p, pi_p2 = _periods_p_p2(k, p, factor_budget=factor_budget)
     return SearchHit(k=k, p=p, pi_p=pi_p, pi_p2=pi_p2)
 
 
 def _search_unit(unit: tuple) -> list[SearchHit]:
-    """The hits of a work unit (k, hyp, lo, hi, criterion): one k, the primes in [lo, hi)."""
-    k, hyp, lo, hi, criterion = unit
-    hits = (_cell_is_hit(k, p, hyp, criterion) for p in primes_between(lo, hi))
+    """The hits of a unit (k, hyp, lo, hi, criterion, budget): one k, the primes in [lo, hi)."""
+    k, hyp, lo, hi, criterion, budget = unit
+    hits = (_cell_is_hit(k, p, hyp, criterion, budget) for p in primes_between(lo, hi))
     return [hit for hit in hits if hit is not None]
 
 
@@ -213,7 +215,8 @@ def search(
     classification per cell. Criteria that are only meaningful under the
     hypotheses (alpha, monogenic, all) skip failing k values and report
     them in skipped_k; period and entry scan every k. The hit list is
-    sorted by (k, p) and does not depend on jobs or scheduling. At most
+    sorted by (k, p) and does not depend on jobs or scheduling. factor_budget
+    caps each factoring, of k^2+4 and of every period's multiple. At most
     min(jobs, cpu count) worker processes run; jobs <= 1 runs in-process.
     """
     if k_min < 1:
@@ -242,7 +245,7 @@ def search(
     ranges = -(-max(jobs, 1) * 4 // max(len(scan), 1))
     width = min(-(-(p_max - 1) // ranges), UNIT_WIDTH)
     units = [
-        (k, hyp, lo, min(lo + width, p_max + 1), criterion)
+        (k, hyp, lo, min(lo + width, p_max + 1), criterion, factor_budget)
         for k, hyp in scan
         for lo in range(2, p_max + 1, width)
     ]

@@ -271,6 +271,7 @@ def test_search_text_mentions_skips(capsys):
         (("search", "--k-min", "1", "--k-max", "2", "--p-max", "10", "--criterion", "bogus"), 2),
         (("check", "--k", HARD_K, "--p", "3", "--factor-budget", "10"), 4),
         (("check", "--k", HARD_K, "--p", "3"), 0),   # default budget suffices
+        (("check", "--k", "1", "--p", "5", "--factor-budget", "0"), 0),  # 0 spends no rho
     ],
 )
 def test_exit_code_matrix(capsys, argv, code):
@@ -345,6 +346,27 @@ def test_malformed_budget_env_is_invalid_arguments_for_discriminant_too(capsys, 
     code, out, err = run_cli(capsys, "discriminant", "--k", "2", "--p", "13")
     assert (code, out) == (2, "")
     assert "WSS_FACTOR_BUDGET" in err
+
+
+NEGATIVE_BUDGET_COMMANDS = [
+    ("period", "--k", "1", "--m", SEMIPRIME_M),
+    ("check", "--k", "1", "--p", "5"),
+    ("monogenic", "--k", "1", "--p", "5"),
+    ("search", "--k-min", "1", "--k-max", "2", "--p-max", "50"),
+    ("discriminant", "--k", "2", "--p", "13"),
+]
+
+
+@pytest.mark.parametrize("argv", NEGATIVE_BUDGET_COMMANDS, ids=lambda argv: argv[0])
+def test_negative_budget_is_invalid_arguments(capsys, monkeypatch, argv):
+    # exit 2, not 4: no budget ran out, the argument is wrong, whether flag or env
+    code, out, err = run_cli(capsys, *argv, "--factor-budget", "-1")
+    assert (code, out) == (2, "")
+    assert err.startswith("invalid arguments:") and "--factor-budget" in err
+    monkeypatch.setenv("WSS_FACTOR_BUDGET", "-3")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("invalid arguments:") and "WSS_FACTOR_BUDGET" in err
 
 
 # -------------------------------------------------------------- determinism

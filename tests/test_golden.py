@@ -1,0 +1,64 @@
+"""stdout of the wss command, pinned byte for byte to files in tests/golden.
+
+Each case runs cli.main in-process and compares what it printed with the
+checked-in file. To regenerate the files after an intended change of
+output, run `PYTHONPATH=src python tests/test_golden.py` and review the diff.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from wallsunsun.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+SEARCH = ("search", "--k-min", "1", "--k-max", "20", "--p-max", "2000")
+
+# (golden file name, argv); a .json file is the --format json stdout.
+CASES = [
+    ("check_2_13.json", ("check", "--k", "2", "--p", "13")),
+    ("check_2_13.txt", ("check", "--k", "2", "--p", "13")),
+    ("check_1_2.json", ("check", "--k", "1", "--p", "2")),
+    ("check_1_2.txt", ("check", "--k", "1", "--p", "2")),
+    ("check_2_1546463.json", ("check", "--k", "2", "--p", "1546463")),
+    ("check_2_1546463.txt", ("check", "--k", "2", "--p", "1546463")),
+    ("monogenic_report_1_3.json", ("monogenic", "--k", "1", "--p", "3", "--report")),
+    ("monogenic_report_7_5.json", ("monogenic", "--k", "7", "--p", "5", "--report")),
+    ("period_1_169.json", ("period", "--k", "1", "--m", "169")),
+    ("discriminant_2_13.json", ("discriminant", "--k", "2", "--p", "13")),
+    *(
+        (f"search_{criterion}.json", (*SEARCH, "--criterion", criterion, "--jobs", "1"))
+        for criterion in ("period", "entry", "alpha", "monogenic", "all")
+    ),
+    # stdout does not depend on --jobs, so both runs share one file
+    ("search_all.json", (*SEARCH, "--criterion", "all", "--jobs", "2")),
+    ("search_all.txt", (*SEARCH, "--criterion", "all", "--jobs", "1")),
+]
+
+
+def _argv(name, argv):
+    return [*argv, "--format", "json"] if name.endswith(".json") else list(argv)
+
+
+@pytest.mark.parametrize("name,argv", CASES, ids=[f"{n}:{' '.join(a)}" for n, a in CASES])
+def test_stdout_matches_golden_file(capsys, monkeypatch, name, argv):
+    monkeypatch.delenv("WSS_FACTOR_BUDGET", raising=False)
+    code = main(_argv(name, argv))
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == (GOLDEN / name).read_bytes().decode(), name
+
+
+if __name__ == "__main__":
+    import contextlib
+    import io
+
+    GOLDEN.mkdir(exist_ok=True)
+    for name, argv in CASES:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main(_argv(name, argv))
+        if code != 0:
+            sys.exit(f"{name}: exit code {code}")
+        (GOLDEN / name).write_bytes(buf.getvalue().encode())

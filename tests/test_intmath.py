@@ -253,6 +253,14 @@ def test_factorize_budget_pays_for_factors_between_trial_bound_and_1e6():
     assert factorize(8 * 1009 * 1013, budget=10**3).factors == ((2, 3), (1009, 1), (1013, 1))
 
 
+def test_factorize_rejects_a_negative_budget_before_any_work():
+    # 12 needs no rho iteration, yet a negative budget is still an invalid argument
+    for n in (12, 8 * 1009 * 1013):
+        with pytest.raises(ValueError, match="budget"):
+            factorize(n, budget=-1)
+    assert factorize(12, budget=0).factors == ((2, 2), (3, 1))
+
+
 def test_factorize_budget_error_survives_pickling():
     err = FactorizationBudgetError("budget gone", cofactor=15, partial=((7, 2),))
     back = pickle.loads(pickle.dumps(err))

@@ -1,5 +1,6 @@
 """Trinomial discriminants and the five-case prime-index criterion."""
 
+import itertools
 import random
 
 import pytest
@@ -16,8 +17,9 @@ from wallsunsun.trinomial import (
     Trinomial,
     _case4_g_h,
     _mulmod,
+    _pair_powmod,
     _poly_gcd,
-    _reduce,
+    _powmod,
     _valuation,
     discriminant_resultant,
     fp_discriminant,
@@ -31,6 +33,7 @@ from wallsunsun.trinomial import (
 from oracles import (
     case4_gh_exact,
     disc_from_resultant,
+    log_uniform_integers,
     poly_gcd_mod,
     poly_mul,
     poly_rem_mod,
@@ -451,7 +454,10 @@ residue = st.integers(min_value=0)
 )
 @settings(deadline=None, max_examples=300, derandomize=True)
 def test_degree_2_product_matches_schoolbook_division(q, coords):
-    """The closed-form product mod a monic quadratic, against long division mod q^2."""
+    """The generic list product mod a monic quadratic, against long division mod q^2.
+
+    The pair ladder's references below power with this product.
+    """
     mod = q * q
     f0, f1, h0, h1, g0, g1 = (c % mod for c in coords)
     g = [g0, g1, 1]
@@ -459,17 +465,77 @@ def test_degree_2_product_matches_schoolbook_division(q, coords):
     assert _mulmod([f0, f1], [h0, h1], g, mod) == want + [0] * (2 - len(want))
 
 
+def _slow_pair_power(x, y, e, g0, g1, mod):
+    """(x + y*X)^e mod (X^2 + g1*X + g0, mod) by e multiplications and long division."""
+    g = [g0, g1, 1]
+    acc = [1]
+    for _ in range(e):
+        acc = poly_rem_mod(poly_mul(acc, [x, y]), g, mod)
+    acc = poly_rem_mod(acc, g, mod)
+    return tuple(acc + [0] * (2 - len(acc)))
+
+
+def test_pair_powmod_small_exponents_match_repeated_multiplication():
+    rng = random.Random(0x9A1)
+    for q in PRIMES_TO_1E7[::5]:
+        mod = q * q
+        g = [(rng.randrange(mod), rng.randrange(mod)) for _ in range(2)] + [(mod - 1, mod - 3)]
+        bases = [(0, 1), (1, 0), (mod - 1, mod - 1), (rng.randrange(mod), rng.randrange(mod))]
+        for g0, g1 in g:
+            for x, y in bases:
+                for e in range(12):
+                    want = _slow_pair_power(x, y, e, g0, g1, mod)
+                    assert _pair_powmod(x, y, e, g0, g1, mod) == want, (q, g0, g1, x, y, e)
+
+
+@given(
+    st.sampled_from(PRIMES_TO_1E7),
+    log_uniform_integers(0, 10**13),
+    st.tuples(residue, residue),
+    st.tuples(*[st.one_of(residue, st.integers(-(10**6), 10**6))] * 2),
+)
+@settings(deadline=None, max_examples=300, derandomize=True)
+def test_pair_powmod_matches_the_generic_list_power(q, e, base, g_low):
+    """Any reduced base, and G's low coefficients reduced or signed as case 4 passes them."""
+    mod = q * q
+    x, y = (c % mod for c in base)
+    g0, g1 = g_low
+    want = _powmod([x, y], e, [g0 % mod, g1 % mod, 1], mod)
+    assert list(_pair_powmod(x, y, e, g0, g1, mod)) == want, (q, e, x, y, g0, g1)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_poly_gcd_closed_form_matches_euclid_exhaustively(monkeypatch, q):
+    """Every monic quadratic f and every g = h0 + h1*x over F_q: double roots,
+    h1 = 0 and g = 0 included. Euclid's division step must not run."""
+
+    def no_division(*args):
+        raise AssertionError("a monic quadratic f fell through to Euclid")
+
+    monkeypatch.setattr(trinomial, "_reduce", no_division)
+    for f0, f1, h0, h1 in itertools.product(range(q), repeat=4):
+        f, g = [f0, f1, 1], [h0, h1]
+        assert _poly_gcd(f, g, q) == poly_gcd_mod(f, g, q), (f, g, q)
+
+
+def _case4_by_lists(p, k):
+    """_case4_g_h(2p, p, -k, -1, p, p) by the generic list power of x and of kx + 1."""
+    a, b, mod = -k, -1, p * p
+    g = [b % mod, a % mod, 1]
+    x_m = _powmod([0, 1], p, g, mod)
+    num = _powmod([-b, -a], p, g, mod)
+    num = [(num[0] + a * x_m[0] + b) % mod, (num[1] + a * x_m[1]) % mod]
+    assert not any(c % p for c in num), (p, k)
+    return [c % p for c in g], [c // p for c in num]
+
+
 @given(st.sampled_from(PRIMES_TO_1E7), st.integers(min_value=1, max_value=10**6))
 @settings(deadline=None, max_examples=100, derandomize=True)
 def test_case4_at_q_p_matches_the_generic_product(p, k):
-    """_case4_g_h on F_p at q = p, with and without the degree-2 closed form."""
+    """_case4_g_h on F_p at q = p, whose G is quadratic, against the list power."""
     if k % p == 0:
         return
-    fast = _case4_g_h(2 * p, p, -k, -1, p, p)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(trinomial, "_mulmod", lambda f, h, g, mod: _reduce(poly_mul(f, h), g, mod))
-        generic = _case4_g_h(2 * p, p, -k, -1, p, p)
-    assert fast == generic, (p, k)
+    assert _case4_g_h(2 * p, p, -k, -1, p, p) == _case4_by_lists(p, k), (p, k)
 
 
 def test_case4_rejects_an_inconsistent_q_power():
@@ -478,3 +544,9 @@ def test_case4_rejects_an_inconsistent_q_power():
     with pytest.raises(InconsistencyError):
         _case4_g_h(6, 3, 1, 1, 3, 2)
 
+
+def test_case4_on_a_quadratic_g_rejects_an_inconsistent_q_power():
+    # N = 2 qm, so G = x^2 + x + 1 takes the pair branch; qm = 3 is no power
+    # of q = 2, and the numerator reduces to 3 mod (G, 4), which 2 does not divide.
+    with pytest.raises(InconsistencyError):
+        _case4_g_h(6, 3, 1, 1, 2, 3)

@@ -329,9 +329,9 @@ def test_search_starts_at_most_one_worker_per_cpu_and_per_unit(monkeypatch):
     assert not set(multiprocessing.active_children()) - before
 
 
-def test_search_units_are_capped_and_partition_each_k_range(monkeypatch):
-    # At p_max = 10^7 an uncapped unit would sieve a quarter of [2, p_max]. The
-    # units are recorded and no cell runs, so nothing is sieved.
+@pytest.fixture
+def recorded_units(monkeypatch):
+    """The units a pooled search maps, in order; no unit runs, so nothing is sieved."""
     mapped = []
 
     class RecordingPool:
@@ -351,21 +351,48 @@ def test_search_units_are_capped_and_partition_each_k_range(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(wss.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(wss, "_search_unit", lambda unit: [])
+    return mapped
+
+
+def test_search_units_are_capped_and_partition_each_k_range(recorded_units):
+    # At p_max = 10^7 an uncapped unit would sieve a quarter of [2, p_max].
+    mapped = recorded_units
     p_max = 10**7
     assert search(1, 3, p_max, "entry", jobs=2).hits == ()
     assert {unit[0] for unit in mapped} == {1, 2, 3}
     for k in (1, 2, 3):
-        ranges = [(lo, hi) for uk, _, lo, hi, _ in mapped if uk == k]
+        ranges = [(lo, hi) for uk, _, lo, hi, *_ in mapped if uk == k]
         assert all(0 < hi - lo <= wss.UNIT_WIDTH for lo, hi in ranges)
         bounds = [2] + [hi for _, hi in ranges]
         assert [lo for lo, _ in ranges] == bounds[:-1] and bounds[-1] == p_max + 1, k
+
+
+@pytest.mark.parametrize("criterion", CRITERIA)
+def test_search_passes_the_factor_budget_into_every_unit(recorded_units, criterion):
+    search(1, 6, 3000, criterion, jobs=2, factor_budget=12345)
+    assert recorded_units and all(unit[-1] == 12345 for unit in recorded_units)
+
+
+# p - 1 = 2 * 1013 * 1033 for this prime, and (5 | p) = 1, so pi(p) is found by
+# factoring p - 1, which takes rho iterations: a budget of 1 cannot pay for them.
+RHO_MULTIPLE_P = 2092859
+
+
+@pytest.mark.parametrize("criterion", ["period", "all"])
+def test_search_unit_honours_the_factor_budget_in_period_factoring(criterion):
+    unit = [1, validate_k(1), RHO_MULTIPLE_P - 50, RHO_MULTIPLE_P + 50, criterion, 1]
+    with pytest.raises(FactorizationBudgetError) as info:
+        wss._search_unit(tuple(unit))
+    assert info.value.cofactor == 1013 * 1033
+    unit[-1] = None
+    assert wss._search_unit(tuple(unit)) == []
 
 
 def test_search_allocates_no_object_per_cell(monkeypatch):
     # 20 k times the 1,000 primes up to 7,919 is 20,000 cells. The criterion is
     # stubbed out so that only the driver allocates; an object per cell would
     # cost tens of bytes per cell.
-    monkeypatch.setattr(wss, "_cell_is_hit", lambda k, p, hyp, criterion: None)
+    monkeypatch.setattr(wss, "_cell_is_hit", lambda k, p, hyp, criterion, budget: None)
     tracemalloc.start()
     try:
         search(1, 20, 7919, "entry", jobs=1)
