@@ -7,6 +7,8 @@ computes both sides of that equivalence (plus two intermediate criteria)
 so they can be checked against each other at scale.
 """
 
+import types
+
 from .errors import (
     CriterionUnsupportedError,
     FactorizationBudgetError,
@@ -51,43 +53,9 @@ from .wss import (
 
 __version__ = "0.1.0"
 
+# Every name imported above; the submodules those imports bind are not exported.
 __all__ = [
-    "CriterionUnsupportedError",
-    "FactorizationBudgetError",
-    "HypothesisError",
-    "InconsistencyError",
-    "ResourceBudgetError",
-    "DEFAULT_FACTOR_BUDGET",
-    "Factorization",
-    "factorize",
-    "is_prime",
-    "jacobi",
-    "lucas_u",
-    "period_p_squared",
-    "pisano_period",
-    "QuadElem",
-    "conjugate",
-    "eval_fp_alpha",
-    "IndexVerdict",
-    "MonogenicityReport",
-    "Trinomial",
-    "discriminant_resultant",
-    "fp_discriminant",
-    "index_check_prime",
-    "index_d_value",
-    "is_monogenic_fp",
-    "wss_trinomial",
-    "SearchHit",
-    "SearchResult",
-    "WssClassification",
-    "WssHypotheses",
-    "classify",
-    "delta_p",
-    "is_wss_by_alpha",
-    "is_wss_by_entry",
-    "is_wss_by_monogenicity",
-    "is_wss_by_period",
-    "search",
-    "validate_k",
-    "__version__",
-]
+    name
+    for name, value in list(globals().items())
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+] + ["__version__"]

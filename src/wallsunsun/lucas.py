@@ -54,10 +54,22 @@ def lucas_u(k: int, n: int, m: int) -> int:
     return _u_pair(k, n, m)[0]
 
 
-def _prime_multiple(k: int, q: int, factor_budget: int | None) -> Factorization:
-    """The factorization of Wall's multiple of pi(q) for prime q."""
+def _prime_multiple(k: int, q: int, factor_budget: int | None, factored: dict) -> Factorization:
+    """The factorization of Wall's multiple of pi(q) for prime q, cached in factored."""
     multiple = 6 if q == 2 else {1: q - 1, -1: 2 * (q + 1), 0: 4 * q}[jacobi(k * k + 4, q)]
-    return factorize(multiple, budget=factor_budget)
+    if multiple not in factored:
+        factored[multiple] = factorize(multiple, budget=factor_budget)
+    return factored[multiple]
+
+
+def _strip(k: int, period: int, exponents, m: int) -> int:
+    """Divide a period mod m by its (prime, exponent) pairs while U still closes at the quotient."""
+    for r, a in exponents:
+        for _ in range(a):
+            if _u_pair(k, period // r, m) != (0, 1):
+                break
+            period //= r
+    return period
 
 
 def pisano_period(
@@ -73,7 +85,7 @@ def pisano_period(
     _check_k_m(k, m)
     exponents: dict[int, int] = {}
     for q, e in factors or factorize(m, budget=factor_budget).factors:
-        piece = dict(_prime_multiple(k, q, factor_budget).factors)
+        piece = dict(_prime_multiple(k, q, factor_budget, {}).factors)
         piece[q] = piece.get(q, 0) + e - 1
         for r, a in piece.items():
             exponents[r] = max(exponents.get(r, 0), a)
@@ -82,23 +94,29 @@ def pisano_period(
         raise InconsistencyError(
             f"the sequence for k={k} does not close mod {m} at the multiple {period}"
         )
-    for r, a in exponents.items():
-        for _ in range(a):
-            if _u_pair(k, period // r, m) != (0, 1):
-                break
-            period //= r
-    return period
+    return _strip(k, period, exponents.items(), m)
 
 
-def _periods_p_p2(k: int, p: int, *, factor_budget: int | None = None) -> tuple[int, int]:
-    """(pi(p), pi(p^2)) for a p the caller has proven prime, from one mod-p period.
+def _periods_p_p2(
+    k: int, p: int, *, factor_budget: int | None = None, factored: dict | None = None
+) -> tuple[int, int]:
+    """(pi(p), pi(p^2)) for a p the caller has proven prime, from one ladder mod p^2.
 
-    pi(p^2) is either pi(p) or p*pi(p), never anything else. It is
-    therefore enough to test whether the mod-p period already closes
-    mod p^2, which fast doubling answers in O(log p) ring operations.
+    pi(p) divides Wall's multiple L, and pi(p^2) is pi(p) or p*pi(p). So
+    when p does not divide L, pi(p^2) = pi(p) exactly when the sequence
+    closes mod p^2 at L. p divides L only at p = 2 or delta_p = 0; there the
+    closing is tested again at pi(p). factored is a cache for _prime_multiple.
     """
-    pi_p = pisano_period(k, p, factor_budget=factor_budget, factors=((p, 1),))
-    if _u_pair(k, pi_p, p * p) == (0, 1):
+    multiple = _prime_multiple(k, p, factor_budget, {} if factored is None else factored)
+    top = multiple.n
+    p2 = p * p
+    pair = _u_pair(k, top, p2)
+    if pair[0] % p or pair[1] % p != 1:
+        raise InconsistencyError(
+            f"the sequence for k={k} does not close mod {p} at the multiple {top}"
+        )
+    pi_p = _strip(k, top, multiple.factors, p)
+    if pair == (0, 1) and (top % p or _u_pair(k, pi_p, p2) == (0, 1)):
         return pi_p, pi_p
     return pi_p, p * pi_p
 

@@ -36,18 +36,6 @@ class Trinomial:
         if self.A == 0 or self.B == 0:
             raise ValueError("A and B must be nonzero (otherwise not a trinomial)")
 
-    @property
-    def r(self) -> int:
-        return math.gcd(self.N, self.M)
-
-    @property
-    def n1(self) -> int:
-        return self.N // self.r
-
-    @property
-    def m1(self) -> int:
-        return self.M // self.r
-
     def coeffs(self) -> list[int]:
         """Little-endian coefficient list (index i holds the x^i coefficient)."""
         c = [0] * (self.N + 1)

@@ -110,10 +110,12 @@ def classify(k: int, p: int, *, factor_budget: int | None = None) -> WssClassifi
     return _classify(hyp, p, factor_budget=factor_budget)
 
 
-def _classify(hyp: WssHypotheses, p: int, *, factor_budget: int | None = None) -> WssClassification:
+def _classify(
+    hyp: WssHypotheses, p: int, *, factor_budget: int | None = None, factored: dict | None = None
+) -> WssClassification:
     """classify for a k whose hypotheses hold and a proven prime p; factors only Wall's multiple."""
     k = hyp.k
-    pi_p, pi_p2 = _periods_p_p2(k, p, factor_budget=factor_budget)
+    pi_p, pi_p2 = _periods_p_p2(k, p, factor_budget=factor_budget, factored=factored)
     by_period = pi_p2 == pi_p
     if p == 2:
         delta, applicable = 0, False
@@ -169,11 +171,11 @@ class SearchResult:
 
 
 def _cell_is_hit(
-    k: int, p: int, hyp: WssHypotheses | None, criterion: str, factor_budget: int | None
+    k: int, p: int, hyp: WssHypotheses | None, criterion: str, budget: int | None, factored: dict
 ) -> SearchHit | None:
     """The hit at (k, p) for a sieved prime p, if any; hyp is validate_k(k) where needed."""
     if criterion == "all":
-        c = _classify(hyp, p, factor_budget=factor_budget)
+        c = _classify(hyp, p, factor_budget=budget, factored=factored)
         if not c.is_wss:
             return None
         return SearchHit(k=k, p=p, pi_p=c.pi_p, pi_p2=c.pi_p2, classification=c)
@@ -185,19 +187,25 @@ def _cell_is_hit(
     elif criterion == "monogenic":
         hit = not _monogenic_report(hyp, p).monogenic
     else:
-        pi_p, pi_p2 = _periods_p_p2(k, p, factor_budget=factor_budget)
+        pi_p, pi_p2 = _periods_p_p2(k, p, factor_budget=budget, factored=factored)
         return SearchHit(k=k, p=p, pi_p=pi_p, pi_p2=pi_p2) if pi_p == pi_p2 else None
     if not hit:
         return None
-    pi_p, pi_p2 = _periods_p_p2(k, p, factor_budget=factor_budget)
+    pi_p, pi_p2 = _periods_p_p2(k, p, factor_budget=budget, factored=factored)
     return SearchHit(k=k, p=p, pi_p=pi_p, pi_p2=pi_p2)
 
 
 def _search_unit(unit: tuple) -> list[SearchHit]:
-    """The hits of a unit (k, hyp, lo, hi, criterion, budget): one k, the primes in [lo, hi)."""
-    k, hyp, lo, hi, criterion, budget = unit
-    hits = (_cell_is_hit(k, p, hyp, criterion, budget) for p in primes_between(lo, hi))
-    return [hit for hit in hits if hit is not None]
+    """The hits of unit (scan, lo, hi, criterion, budget): each (k, hyp) in scan, p in [lo, hi)."""
+    scan, lo, hi, criterion, budget = unit
+    hits = []
+    for p in primes_between(lo, hi):
+        factored: dict = {}  # Wall's multiples of p, factored once for all k
+        for k, hyp in scan:
+            hit = _cell_is_hit(k, p, hyp, criterion, budget, factored)
+            if hit is not None:
+                hits.append(hit)
+    return hits
 
 
 def search(
@@ -241,13 +249,11 @@ def search(
 
     if jobs is None:
         jobs = os.cpu_count() or 1
-    # Units are in (k, p) order and map keeps it, so the hits come sorted.
-    ranges = -(-max(jobs, 1) * 4 // max(len(scan), 1))
-    width = min(-(-(p_max - 1) // ranges), UNIT_WIDTH)
+    # A unit is one p-range over every scanned k, about 4 ranges per job to keep the workers busy.
+    width = min(-(-(p_max - 1) // (4 * max(jobs, 1))), UNIT_WIDTH)
     units = [
-        (k, hyp, lo, min(lo + width, p_max + 1), criterion, factor_budget)
-        for k, hyp in scan
-        for lo in range(2, p_max + 1, width)
+        (scan, lo, min(lo + width, p_max + 1), criterion, factor_budget)
+        for lo in (range(2, p_max + 1, width) if scan else ())
     ]
     workers = min(jobs, os.cpu_count() or 1, len(units))
     if workers <= 1:
@@ -263,6 +269,6 @@ def search(
         k_min=k_min,
         k_max=k_max,
         p_max=p_max,
-        hits=tuple(hit for part in parts for hit in part),
+        hits=tuple(sorted((hit for part in parts for hit in part), key=lambda h: (h.k, h.p))),
         skipped_k=tuple(skipped),
     )

@@ -2,7 +2,12 @@
 
 Everything here is deliberately naive: plain loops, no doubling tricks, no
 imports from the package under test. Slow is fine; these only run at test
-scale. If the library and this file disagree, trust this file first.
+scale. If the library and this file disagree, trust this file first. The
+one exception is periods_two_step, the library's earlier path to
+(pi(p), pi(p^2)), kept to test the path that replaced it.
+
+The checks on inputs and on intermediate results raise instead of asserting,
+so they still run under python -O.
 """
 
 from __future__ import annotations
@@ -45,7 +50,8 @@ def v_term(k: int, n: int, m: int | None = None) -> int:
 
 def state_period(k: int, m: int) -> int:
     """Period of (U_n, U_{n+1}) mod m by stepping until (0, 1) recurs."""
-    assert m >= 2
+    if m < 2:
+        raise ValueError(f"m must be >= 2, got {m}")
     a, b = 0, 1
     n = 0
     while True:
@@ -70,9 +76,25 @@ def is_wss_brute(k: int, p: int) -> bool:
     return (a, b) == (0, 1)
 
 
+def periods_two_step(k: int, p: int) -> tuple[int, int]:
+    """(pi(p), pi(p^2)) as the library found them before its one-ladder path.
+
+    pi(p) comes from pisano_period with p's factorization given, then
+    pi(p^2) = pi(p) exactly when U also closes mod p^2 at pi(p).
+    """
+    from wallsunsun.lucas import lucas_u, pisano_period
+
+    pi_p = pisano_period(k, p, factors=((p, 1),))
+    p2 = p * p
+    if (lucas_u(k, pi_p, p2), lucas_u(k, pi_p + 1, p2)) == (0, 1):
+        return pi_p, pi_p
+    return pi_p, p * pi_p
+
+
 def matrix_order(k: int, m: int) -> int:
     """Multiplicative order of [[k,1],[1,0]] mod m by repeated multiply."""
-    assert m >= 2
+    if m < 2:
+        raise ValueError(f"m must be >= 2, got {m}")
     cur = (k % m, 1 % m, 1 % m, 0)
     n = 1
     while cur != (1 % m, 0, 0, 1 % m):
@@ -149,7 +171,8 @@ def sieve_primes(limit: int) -> list[int]:
 
 
 def trial_factor(n: int) -> dict[int, int]:
-    assert n >= 1
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     out: dict[int, int] = {}
     d = 2
     while d * d <= n:
@@ -248,7 +271,8 @@ def sylvester_det(f: list[int], g: list[int]) -> int:
                 continue
             for c in range(col, size):
                 mat[r][c] -= factor * mat[col][c]
-    assert det.denominator == 1
+    if det.denominator != 1:
+        raise ArithmeticError(f"integer matrix gave a non-integer determinant {det}")
     return int(det)
 
 
@@ -259,7 +283,8 @@ def disc_from_resultant(f: list[int]) -> int:
     res = sylvester_det(f, fp)
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
     lead = f[-1]
-    assert res % lead == 0
+    if res % lead:
+        raise ArithmeticError(f"lc(f) = {lead} does not divide Res(f, f') = {res}")
     return sign * (res // lead)
 
 
@@ -321,10 +346,10 @@ def case4_gh_exact(
     h = [0] * (M + 1)
     q2 = q * q
     c0 = (B + pow(-B, qm, q2)) % q2
-    assert c0 % q == 0, "edge coefficient of H numerator must be divisible by q"
-    h[0] = c0 // q % q
     cm = (A + pow(-A, qm, q2)) % q2
-    assert cm % q == 0, "edge coefficient of H numerator must be divisible by q"
+    if c0 % q or cm % q:
+        raise ArithmeticError("edge coefficients of H's numerator must be divisible by q")
+    h[0] = c0 // q % q
     h[M] = cm // q % q
 
     nega = (-A) % q
@@ -337,7 +362,8 @@ def case4_gh_exact(
         binom = binom * (qm - i + 1) // i  # exact: C(qm, i)
         powa = powa * nega % q
         powb = powb * invb % q  # (-B)^(qm-i)
-        assert binom % q == 0, "q must divide C(qm, i) for 0 < i < qm"
+        if binom % q:
+            raise ArithmeticError(f"q must divide C(qm, i) for 0 < i < qm, not C({qm}, {i})")
         c = binom // q * powa * powb % q
         h[v * i] = (h[v * i] + c) % q
     return g, h

@@ -413,6 +413,24 @@ def test_cli_import_leaves_the_process_pool_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+PUBLIC_NAMES = """
+    CriterionUnsupportedError FactorizationBudgetError HypothesisError InconsistencyError
+    ResourceBudgetError DEFAULT_FACTOR_BUDGET Factorization factorize is_prime jacobi lucas_u
+    period_p_squared pisano_period QuadElem conjugate eval_fp_alpha IndexVerdict
+    MonogenicityReport Trinomial discriminant_resultant fp_discriminant index_check_prime
+    index_d_value is_monogenic_fp wss_trinomial SearchHit SearchResult WssClassification
+    WssHypotheses classify delta_p is_wss_by_alpha is_wss_by_entry is_wss_by_monogenicity
+    is_wss_by_period search validate_k __version__
+""".split()
+
+
+def test_star_import_exports_the_public_names_and_no_submodule():
+    namespace = {}
+    exec("from wallsunsun import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(PUBLIC_NAMES)
+    assert sorted(wallsunsun.__all__) == sorted(PUBLIC_NAMES)
+
+
 def declared_console_script(name):
     """The ``[project.scripts]`` value for ``name`` in this checkout's pyproject.toml."""
     with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:

@@ -7,13 +7,15 @@ from hypothesis import example, given, settings, strategies as st
 
 from wallsunsun import lucas
 from wallsunsun.errors import InconsistencyError
-from wallsunsun.intmath import jacobi
+from wallsunsun.intmath import factorize, jacobi
 from wallsunsun.lucas import lucas_u, period_p_squared, pisano_period
 
 from oracles import (
     is_wss_brute,
     log_uniform_integers,
     matrix_order,
+    periods_two_step,
+    sampled_primes,
     sieve_primes,
     state_period,
     trial_factor,
@@ -230,6 +232,7 @@ def test_period_p_squared_dichotomy_and_brute_force():
             pi_p = pisano_period(k, p)
             assert got in (pi_p, p * pi_p), (k, p)
             assert got == state_period(k, p * p), (k, p)
+            assert lucas._periods_p_p2(k, p) == (state_period(k, p), got), (k, p)
 
 
 @given(st.sampled_from(sieve_primes(2000)), st.integers(min_value=1, max_value=10**6))
@@ -268,6 +271,51 @@ def test_period_p_squared_sampled_to_200():
 )
 def test_period_p_squared_known_values(k, p, expected):
     assert period_p_squared(k, p) == expected
+
+
+# ------------------------------------------------ (pi(p), pi(p^2)) in one pass
+# _periods_p_p2 reads pi(p^2) off one ladder at Wall's multiple L mod p^2. Where
+# p divides L, at p = 2 or delta_p = 0, it also tests the closing at pi(p).
+
+
+@pytest.mark.parametrize(
+    "k,p,expected",
+    [
+        (1, 2, (3, 6)),  # U closes mod 4 at L = 6 but not at pi(2) = 3
+        (4, 2, (2, 2)),  # a hit where p divides L
+        (1, 5, (20, 100)),
+        (3, 13, (52, 676)),
+        (11, 5, (20, 100)),
+    ],
+)
+def test_periods_p_p2_where_p_divides_the_multiple(k, p, expected):
+    assert p == 2 or jacobi(k * k + 4, p) == 0
+    assert lucas._periods_p_p2(k, p) == expected == (state_period(k, p), state_period(k, p * p))
+
+
+def test_periods_p_p2_match_the_two_step_oracle():
+    """Seeded primes up to 10^7, each with a small and a large k, and the known hits."""
+    rng = random.Random(RNG_SEED + 3)
+    hits = [(2, 13), (2, 31), (2, 1546463), (3, 241)]
+    cells = [
+        (k, p)
+        for p in sampled_primes(RNG_SEED + 3, 40, 10**7)
+        for k in (rng.randrange(1, 31), rng.randrange(31, 10**6))
+    ]
+    for k, p in hits + cells:
+        assert lucas._periods_p_p2(k, p) == periods_two_step(k, p), (k, p)
+    for k, p in hits:
+        pi_p, pi_p2 = lucas._periods_p_p2(k, p)
+        assert pi_p == pi_p2, (k, p)
+
+
+def test_periods_p_p2_refuse_a_multiple_that_does_not_close(monkeypatch):
+    # pi(7) = 16 for k = 1 does not divide 6. The check is explicit, so it also holds under -O.
+    monkeypatch.setattr(lucas, "_prime_multiple", lambda k, q, budget, factored: factorize(6))
+    with pytest.raises(InconsistencyError):
+        lucas._periods_p_p2(1, 7)
+    with pytest.raises(InconsistencyError):
+        period_p_squared(1, 7)
 
 
 def test_period_p_squared_rejects_composites():

@@ -1,6 +1,7 @@
 """Trinomial discriminants and the five-case prime-index criterion."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -69,7 +70,7 @@ def _sympy_poly(t: Trinomial) -> Poly:
 
 def test_trinomial_fields_and_normalization():
     t = Trinomial(6, 3, -1, -1)
-    assert (t.r, t.n1, t.m1) == (3, 2, 1)
+    assert math.gcd(t.N, t.M) == 3
     assert t.coeffs() == trinomial_coeffs(6, 3, -1, -1)
     assert str(t) == "x^6 + (-1)*x^3 + (-1)"
 
@@ -164,7 +165,7 @@ def test_discriminant_identity_with_d_value():
         disc = discriminant_resultant(t)
         d_value, _ = index_d_value(t)
         sign = -1 if (t.N * (t.N - 1) // 2) % 2 else 1
-        assert disc == sign * t.B ** (t.M - 1) * d_value**t.r, t
+        assert disc == sign * t.B ** (t.M - 1) * d_value ** math.gcd(t.N, t.M), t
 
 
 def _grid(max_n, bound):
@@ -182,7 +183,8 @@ def test_swan_closed_form_equals_resultant_on_full_grid():
     for t in _grid(12, 6):
         d_value, _ = index_d_value(t)
         sign = -1 if (t.N * (t.N - 1) // 2) % 2 else 1
-        assert sign * t.B ** (t.M - 1) * d_value**t.r == discriminant_resultant(t), t
+        r = math.gcd(t.N, t.M)
+        assert sign * t.B ** (t.M - 1) * d_value**r == discriminant_resultant(t), t
         count += 1
     assert count == 9504
 
@@ -442,6 +444,19 @@ def test_case4_reduction_matches_exact_oracle_on_general_trinomials(q, e, n0, da
     n, m = q**e * n0, q**e * m0
     qm = q ** min(_valuation(q, n), _valuation(q, m))
     _assert_case4_matches_exact_oracle(n, m, a, b, q, qm)
+
+
+@pytest.mark.parametrize(
+    "args,error",
+    [
+        ((8, 4, 1, 1, 4, 4), "edge coefficients"),  # q = 4 is not prime
+        ((6, 3, 1, 1, 2, 3), "must divide C"),  # qm = 3 is not a power of q = 2
+    ],
+)
+def test_case4_exact_oracle_refuses_a_q_it_cannot_divide_by(args, error):
+    # explicit raises, so the oracle keeps its checks under python -O as well
+    with pytest.raises(ArithmeticError, match=error):
+        case4_gh_exact(*args)
 
 
 PRIMES_TO_1E7 = sampled_primes(0x1E7, 100, 10**7)

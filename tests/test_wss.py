@@ -355,16 +355,17 @@ def recorded_units(monkeypatch):
 
 
 def test_search_units_are_capped_and_partition_each_k_range(recorded_units):
-    # At p_max = 10^7 an uncapped unit would sieve a quarter of [2, p_max].
+    # At p_max = 10^7 an uncapped unit would sieve an eighth of [2, p_max].
     mapped = recorded_units
     p_max = 10**7
     assert search(1, 3, p_max, "entry", jobs=2).hits == ()
-    assert {unit[0] for unit in mapped} == {1, 2, 3}
-    for k in (1, 2, 3):
-        ranges = [(lo, hi) for uk, _, lo, hi, *_ in mapped if uk == k]
-        assert all(0 < hi - lo <= wss.UNIT_WIDTH for lo, hi in ranges)
-        bounds = [2] + [hi for _, hi in ranges]
-        assert [lo for lo, _ in ranges] == bounds[:-1] and bounds[-1] == p_max + 1, k
+    # every unit carries every scanned k, so its p-range covers each k's range
+    assert all([k for k, _ in unit[0]] == [1, 2, 3] for unit in mapped)
+    ranges = [(lo, hi) for _, lo, hi, *_ in mapped]
+    assert len(ranges) >= 4 * 2
+    assert all(0 < hi - lo <= wss.UNIT_WIDTH for lo, hi in ranges)
+    bounds = [2] + [hi for _, hi in ranges]
+    assert [lo for lo, _ in ranges] == bounds[:-1] and bounds[-1] == p_max + 1
 
 
 @pytest.mark.parametrize("criterion", CRITERIA)
@@ -380,7 +381,7 @@ RHO_MULTIPLE_P = 2092859
 
 @pytest.mark.parametrize("criterion", ["period", "all"])
 def test_search_unit_honours_the_factor_budget_in_period_factoring(criterion):
-    unit = [1, validate_k(1), RHO_MULTIPLE_P - 50, RHO_MULTIPLE_P + 50, criterion, 1]
+    unit = [((1, validate_k(1)),), RHO_MULTIPLE_P - 50, RHO_MULTIPLE_P + 50, criterion, 1]
     with pytest.raises(FactorizationBudgetError) as info:
         wss._search_unit(tuple(unit))
     assert info.value.cofactor == 1013 * 1033
@@ -392,7 +393,7 @@ def test_search_allocates_no_object_per_cell(monkeypatch):
     # 20 k times the 1,000 primes up to 7,919 is 20,000 cells. The criterion is
     # stubbed out so that only the driver allocates; an object per cell would
     # cost tens of bytes per cell.
-    monkeypatch.setattr(wss, "_cell_is_hit", lambda k, p, hyp, criterion, budget: None)
+    monkeypatch.setattr(wss, "_cell_is_hit", lambda k, p, hyp, criterion, budget, factored: None)
     tracemalloc.start()
     try:
         search(1, 20, 7919, "entry", jobs=1)
@@ -474,6 +475,12 @@ def period_factorize_calls(monkeypatch):
 
 @pytest.fixture
 def period_walks(monkeypatch):
+    """The (k, p) of every _periods_p_p2 call, in order."""
+    return _record_calls(monkeypatch, lucas._periods_p_p2)
+
+
+@pytest.fixture
+def general_periods(monkeypatch):
     """The (k, m) of every pisano_period call, in order."""
     return _record_calls(monkeypatch, lucas.pisano_period)
 
@@ -502,24 +509,32 @@ def _wall_multiple(k, p):
 
 @pytest.mark.parametrize("criterion", ["period", "all"])
 def test_search_factors_only_the_wall_multiple_per_cell(period_factorize_calls, criterion):
-    # p comes from the sieve, so the period is found from the factorization
-    # ((p, 1),) without factoring p
+    # p comes from the sieve, so p itself is never factored: the calls are
+    # Wall's multiples only. The k of one p share each distinct multiple, so
+    # it is factored once for that p, in the order the k first need it.
     res = search(1, 10, 60, criterion, jobs=1)
-    cells = [(k, p) for k in range(1, 11) if k not in res.skipped_k for p in sieve_primes(60)]
-    assert period_factorize_calls == [_wall_multiple(k, p) for k, p in cells]
+    scanned = [k for k in range(1, 11) if k not in res.skipped_k]
+    expected = [
+        multiple
+        for p in sieve_primes(60)
+        for multiple in dict.fromkeys(_wall_multiple(k, p) for k in scanned)
+    ]
+    assert period_factorize_calls == expected
 
 
 @pytest.mark.parametrize("criterion", ["period", "all"])
-def test_search_walks_each_period_once_per_cell(period_walks, criterion):
+def test_search_walks_each_period_once_per_cell(period_walks, general_periods, criterion):
     res = search(1, 10, 60, criterion, jobs=1)
     cells = [(k, p) for k in range(1, 11) if k not in res.skipped_k for p in sieve_primes(60)]
-    assert period_walks == cells
+    assert sorted(period_walks) == cells
+    assert general_periods == []
 
 
-def test_period_criterion_and_classify_walk_once(period_walks):
+def test_period_criterion_and_classify_walk_once(period_walks, general_periods):
     is_wss_by_period(2, 13)
     classify(2, 13)
     assert period_walks == [(2, 13), (2, 13)]
+    assert general_periods == []
 
 
 # ------------------------------------------------------- primality, proven once
