@@ -16,13 +16,7 @@ from .errors import (
     InconsistencyError,
     ResourceBudgetError,
 )
-from .intmath import (
-    DEFAULT_FACTOR_BUDGET,
-    Factorization,
-    factorize,
-    is_prime,
-    jacobi,
-)
+from .intmath import DEFAULT_FACTOR_BUDGET, Factorization, factorize, is_prime, jacobi
 from .lucas import lucas_u, period_p_squared, pisano_period
 from .quadring import QuadElem, conjugate, eval_fp_alpha
 from .trinomial import (

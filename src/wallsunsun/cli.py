@@ -95,12 +95,7 @@ def cmd_check(args, budget: int) -> tuple[dict, list[str]]:
 
 def cmd_search(args, budget: int) -> tuple[dict, list[str]]:
     res = search(
-        args.k_min,
-        args.k_max,
-        args.p_max,
-        args.criterion,
-        jobs=args.jobs,
-        factor_budget=budget,
+        args.k_min, args.k_max, args.p_max, args.criterion, jobs=args.jobs, factor_budget=budget
     )
     hits = []
     text = [
@@ -112,11 +107,7 @@ def cmd_search(args, budget: int) -> tuple[dict, list[str]]:
             entry["classification"] = _classification_result(h.classification)
         hits.append(entry)
         text.append(f"  hit k={h.k} p={h.p} pi(p)={h.pi_p} pi(p^2)={h.pi_p2}")
-    result = {
-        "criterion": res.criterion,
-        "hits": hits,
-        "skipped_k": list(res.skipped_k),
-    }
+    result = {"criterion": res.criterion, "hits": hits, "skipped_k": list(res.skipped_k)}
     text.append(f"  {len(res.hits)} hit(s), {len(res.skipped_k)} skipped k")
     if res.skipped_k:
         text.append("  skipped (hypotheses fail): " + ", ".join(map(str, res.skipped_k)))

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 
 from .errors import InconsistencyError
-from .intmath import Factorization, factorize, jacobi, require_prime
+from .intmath import factorize, jacobi, require_prime
 
 
 def _check_k_m(k: int, m: int) -> None:
@@ -54,12 +54,9 @@ def lucas_u(k: int, n: int, m: int) -> int:
     return _u_pair(k, n, m)[0]
 
 
-def _prime_multiple(k: int, q: int, factor_budget: int | None, factored: dict) -> Factorization:
-    """The factorization of Wall's multiple of pi(q) for prime q, cached in factored."""
-    multiple = 6 if q == 2 else {1: q - 1, -1: 2 * (q + 1), 0: 4 * q}[jacobi(k * k + 4, q)]
-    if multiple not in factored:
-        factored[multiple] = factorize(multiple, budget=factor_budget)
-    return factored[multiple]
+def _prime_multiple(k: int, q: int) -> int:
+    """Wall's multiple of pi(q) for prime q: 6, q - 1, 2(q + 1) or 4q."""
+    return 6 if q == 2 else {1: q - 1, -1: 2 * (q + 1), 0: 4 * q}[jacobi(k * k + 4, q)]
 
 
 def _strip(k: int, period: int, exponents, m: int) -> int:
@@ -85,7 +82,7 @@ def pisano_period(
     _check_k_m(k, m)
     exponents: dict[int, int] = {}
     for q, e in factors or factorize(m, budget=factor_budget).factors:
-        piece = dict(_prime_multiple(k, q, factor_budget, {}).factors)
+        piece = dict(factorize(_prime_multiple(k, q), budget=factor_budget).factors)
         piece[q] = piece.get(q, 0) + e - 1
         for r, a in piece.items():
             exponents[r] = max(exponents.get(r, 0), a)
@@ -97,26 +94,35 @@ def pisano_period(
     return _strip(k, period, exponents.items(), m)
 
 
-def _periods_p_p2(
-    k: int, p: int, *, factor_budget: int | None = None, factored: dict | None = None
-) -> tuple[int, int]:
-    """(pi(p), pi(p^2)) for a p the caller has proven prime, from one ladder mod p^2.
+def _closing(k: int, p: int) -> tuple[int, tuple[int, int]]:
+    """(L, (U_L, U_{L+1}) mod p^2) for Wall's multiple L of pi(p), p proven prime.
 
-    pi(p) divides Wall's multiple L, and pi(p^2) is pi(p) or p*pi(p). So
-    when p does not divide L, pi(p^2) = pi(p) exactly when the sequence
-    closes mod p^2 at L. p divides L only at p = 2 or delta_p = 0; there the
-    closing is tested again at pi(p). factored is a cache for _prime_multiple.
+    Raises InconsistencyError unless the pair is (0, 1) mod p, which proves
+    pi(p) | L. Then a pair other than (0, 1) proves pi(p^2) does not divide
+    L, so pi(p^2) != pi(p): one ladder rejects a cell without factoring L.
     """
-    multiple = _prime_multiple(k, p, factor_budget, {} if factored is None else factored)
-    top = multiple.n
-    p2 = p * p
-    pair = _u_pair(k, top, p2)
+    top = _prime_multiple(k, p)
+    pair = _u_pair(k, top, p * p)
     if pair[0] % p or pair[1] % p != 1:
         raise InconsistencyError(
             f"the sequence for k={k} does not close mod {p} at the multiple {top}"
         )
-    pi_p = _strip(k, top, multiple.factors, p)
-    if pair == (0, 1) and (top % p or _u_pair(k, pi_p, p2) == (0, 1)):
+    return top, pair
+
+
+def _periods_p_p2(
+    k: int, p: int, *, factor_budget: int | None = None, closing: tuple | None = None
+) -> tuple[int, int]:
+    """(pi(p), pi(p^2)) for a p the caller has proven prime, from one ladder mod p^2.
+
+    closing is _closing(k, p), when the caller has run it already. pi(p^2)
+    is pi(p) or p*pi(p). So when p does not divide L, pi(p^2) = pi(p)
+    exactly when the sequence closes mod p^2 at L. p divides L only at
+    p = 2 or delta_p = 0; there the closing is tested again at pi(p).
+    """
+    top, pair = closing or _closing(k, p)
+    pi_p = _strip(k, top, factorize(top, budget=factor_budget).factors, p)
+    if pair == (0, 1) and (top % p or _u_pair(k, pi_p, p * p) == (0, 1)):
         return pi_p, pi_p
     return pi_p, p * pi_p
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .errors import CriterionUnsupportedError, InconsistencyError
 from .intmath import jacobi, primes_between, require_prime
-from .lucas import _periods_p_p2, lucas_u
+from .lucas import _closing, _periods_p_p2, lucas_u
 from .quadring import _fp_alpha
 from .trinomial import WssHypotheses, _monogenic_report, is_monogenic_fp, validate_k
 
@@ -111,28 +111,32 @@ def classify(k: int, p: int, *, factor_budget: int | None = None) -> WssClassifi
 
 
 def _classify(
-    hyp: WssHypotheses, p: int, *, factor_budget: int | None = None, factored: dict | None = None
-) -> WssClassification:
-    """classify for a k whose hypotheses hold and a proven prime p; factors only Wall's multiple."""
+    hyp: WssHypotheses, p: int, *, factor_budget: int | None = None, hits_only: bool = False
+) -> WssClassification | None:
+    """classify for a k whose hypotheses hold and a proven prime p; factors only Wall's multiple.
+
+    With hits_only, a cell where every criterion says no, the period one by
+    its closing ladder alone, gives None before any factoring.
+    """
     k = hyp.k
-    pi_p, pi_p2 = _periods_p_p2(k, p, factor_budget=factor_budget, factored=factored)
-    by_period = pi_p2 == pi_p
-    if p == 2:
-        delta, applicable = 0, False
-        by_entry = by_alpha = by_period
-        derived = True
-    else:
-        delta, applicable = jacobi(k * k + 4, p), True
-        by_entry = _entry_hit(k, p, delta)
-        by_alpha = _fp_alpha(k, p) == (0, 0)
-        derived = False
+    closing = _closing(k, p)
+    derived = p == 2  # entry and alpha mirror the period verdict there
+    delta = 0 if derived else jacobi(k * k + 4, p)
+    by_entry = not derived and _entry_hit(k, p, delta)
+    by_alpha = not derived and _fp_alpha(k, p) == (0, 0)
     by_monogenic = not _monogenic_report(hyp, p).monogenic
+    if hits_only and closing[1] != (0, 1) and not (by_entry or by_alpha or by_monogenic):
+        return None
+    pi_p, pi_p2 = _periods_p_p2(k, p, factor_budget=factor_budget, closing=closing)
+    by_period = pi_p2 == pi_p
+    if derived:
+        by_entry = by_alpha = by_period
     consistent = by_period == by_entry == by_alpha == by_monogenic
     record = WssClassification(
         k=k,
         p=p,
         delta=delta,
-        delta_applicable=applicable,
+        delta_applicable=not derived,
         pi_p=pi_p,
         pi_p2=pi_p2,
         by_period=by_period,
@@ -171,14 +175,15 @@ class SearchResult:
 
 
 def _cell_is_hit(
-    k: int, p: int, hyp: WssHypotheses | None, criterion: str, budget: int | None, factored: dict
+    k: int, p: int, hyp: WssHypotheses | None, criterion: str, budget: int | None
 ) -> SearchHit | None:
     """The hit at (k, p) for a sieved prime p, if any; hyp is validate_k(k) where needed."""
     if criterion == "all":
-        c = _classify(hyp, p, factor_budget=budget, factored=factored)
-        if not c.is_wss:
+        c = _classify(hyp, p, factor_budget=budget, hits_only=True)
+        if c is None or not c.is_wss:
             return None
         return SearchHit(k=k, p=p, pi_p=c.pi_p, pi_p2=c.pi_p2, classification=c)
+    closing = None
     # entry and alpha are undefined at p = 2; ground truth there is the period
     if criterion == "entry" and p != 2:
         hit = _entry_hit(k, p, jacobi(k * k + 4, p))
@@ -187,12 +192,12 @@ def _cell_is_hit(
     elif criterion == "monogenic":
         hit = not _monogenic_report(hyp, p).monogenic
     else:
-        pi_p, pi_p2 = _periods_p_p2(k, p, factor_budget=budget, factored=factored)
-        return SearchHit(k=k, p=p, pi_p=pi_p, pi_p2=pi_p2) if pi_p == pi_p2 else None
+        closing = _closing(k, p)
+        hit = closing[1] == (0, 1)
     if not hit:
         return None
-    pi_p, pi_p2 = _periods_p_p2(k, p, factor_budget=budget, factored=factored)
-    return SearchHit(k=k, p=p, pi_p=pi_p, pi_p2=pi_p2)
+    pi_p, pi_p2 = _periods_p_p2(k, p, factor_budget=budget, closing=closing)
+    return SearchHit(k=k, p=p, pi_p=pi_p, pi_p2=pi_p2) if closing is None or pi_p == pi_p2 else None
 
 
 def _search_unit(unit: tuple) -> list[SearchHit]:
@@ -200,9 +205,8 @@ def _search_unit(unit: tuple) -> list[SearchHit]:
     scan, lo, hi, criterion, budget = unit
     hits = []
     for p in primes_between(lo, hi):
-        factored: dict = {}  # Wall's multiples of p, factored once for all k
         for k, hyp in scan:
-            hit = _cell_is_hit(k, p, hyp, criterion, budget, factored)
+            hit = _cell_is_hit(k, p, hyp, criterion, budget)
             if hit is not None:
                 hits.append(hit)
     return hits
@@ -224,8 +228,10 @@ def search(
     hypotheses (alpha, monogenic, all) skip failing k values and report
     them in skipped_k; period and entry scan every k. The hit list is
     sorted by (k, p) and does not depend on jobs or scheduling. factor_budget
-    caps each factoring, of k^2+4 and of every period's multiple. At most
-    min(jobs, cpu count) worker processes run; jobs <= 1 runs in-process.
+    caps each factoring: of k^2+4, and of the period multiple of each cell
+    whose sequence closes mod p^2 at it or that another criterion reports;
+    no other cell factors. At most min(jobs, cpu count) worker processes
+    run; jobs <= 1 runs in-process.
     """
     if k_min < 1:
         raise ValueError(f"k_min must be >= 1, got {k_min}")

@@ -5,9 +5,9 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from wallsunsun import lucas
+from wallsunsun import lucas, wss
 from wallsunsun.errors import InconsistencyError
-from wallsunsun.intmath import factorize, jacobi
+from wallsunsun.intmath import jacobi
 from wallsunsun.lucas import lucas_u, period_p_squared, pisano_period
 
 from oracles import (
@@ -293,29 +293,63 @@ def test_periods_p_p2_where_p_divides_the_multiple(k, p, expected):
     assert lucas._periods_p_p2(k, p) == expected == (state_period(k, p), state_period(k, p * p))
 
 
-def test_periods_p_p2_match_the_two_step_oracle():
+# Hits of the period criterion: three of k = 2 and 3, and four above 10^6.
+KNOWN_HITS = [(2, 13), (2, 31), (3, 241), (40, 1525021), (2, 1546463), (14, 1546463), (26, 2461951)]
+
+
+def _two_step_cells():
     """Seeded primes up to 10^7, each with a small and a large k, and the known hits."""
     rng = random.Random(RNG_SEED + 3)
-    hits = [(2, 13), (2, 31), (2, 1546463), (3, 241)]
-    cells = [
+    return KNOWN_HITS + [
         (k, p)
         for p in sampled_primes(RNG_SEED + 3, 40, 10**7)
         for k in (rng.randrange(1, 31), rng.randrange(31, 10**6))
     ]
-    for k, p in hits + cells:
+
+
+def test_periods_p_p2_match_the_two_step_oracle():
+    for k, p in _two_step_cells():
         assert lucas._periods_p_p2(k, p) == periods_two_step(k, p), (k, p)
-    for k, p in hits:
+    for k, p in KNOWN_HITS:
         pi_p, pi_p2 = lucas._periods_p_p2(k, p)
         assert pi_p == pi_p2, (k, p)
 
 
+def test_closing_rejects_exactly_the_cells_whose_period_grows():
+    # The pair at Wall's multiple L is (0, 1) mod p^2 exactly when pi(p^2) | L.
+    # Where p does not divide L that is exactly pi(p^2) = pi(p). Where it does,
+    # at p = 2 and the delta_p = 0 cells of the grid, a closing pair decides
+    # nothing, but a pair that does not close still proves pi(p^2) != pi(p).
+    grid = [(k, p) for k in range(1, 31) for p in sieve_primes(499)]
+    for k, p in grid + _two_step_cells():
+        top, pair = lucas._closing(k, p)
+        pi_p, pi_p2 = periods_two_step(k, p)
+        assert top % pi_p == 0 and (pair != (0, 1)) == (top % pi_p2 != 0), (k, p)
+        if top % p:
+            assert (pair != (0, 1)) == (pi_p2 != pi_p), (k, p)
+
+
 def test_periods_p_p2_refuse_a_multiple_that_does_not_close(monkeypatch):
-    # pi(7) = 16 for k = 1 does not divide 6. The check is explicit, so it also holds under -O.
-    monkeypatch.setattr(lucas, "_prime_multiple", lambda k, q, budget, factored: factorize(6))
-    with pytest.raises(InconsistencyError):
-        lucas._periods_p_p2(1, 7)
-    with pytest.raises(InconsistencyError):
-        period_p_squared(1, 7)
+    # pi(7) = 16 for k = 1 divides neither 6 nor 8. U_6 = 1 mod 7, and U_8 = 0
+    # but U_9 = -1 mod 7, so only a check of the whole pair catches 8. The
+    # check is explicit, so it also holds under -O, and every path runs it,
+    # search's early rejection included.
+    real = lucas._prime_multiple
+    scan = ((1, wss.validate_k(1)),)
+    paths = (
+        lambda: lucas._closing(1, 7),
+        lambda: lucas._periods_p_p2(1, 7),
+        lambda: period_p_squared(1, 7),
+        lambda: wss.classify(1, 7),
+        lambda: wss._search_unit((scan, 7, 8, "period", None)),
+        lambda: wss._search_unit((scan, 7, 8, "all", None)),
+    )
+    for multiple in (6, 8):
+        stub = {7: multiple}
+        monkeypatch.setattr(lucas, "_prime_multiple", lambda k, q: stub.get(q) or real(k, q))
+        for path in paths:
+            with pytest.raises(InconsistencyError):
+                path()
 
 
 def test_period_p_squared_rejects_composites():

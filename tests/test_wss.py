@@ -35,7 +35,7 @@ from wallsunsun.wss import (
     validate_k,
 )
 
-from oracles import is_wss_brute, legendre_euler, sieve_primes
+from oracles import is_wss_brute, legendre_euler, sieve_primes, u_term
 
 # k = 2 mod 4 whose hypothesis quantity is 2 * (a semiprime of two 7-digit
 # primes); trial division cannot touch the semiprime, so a tiny rho budget
@@ -376,24 +376,31 @@ def test_search_passes_the_factor_budget_into_every_unit(recorded_units, criteri
 
 # p - 1 = 2 * 1013 * 1033 for this prime, and (5 | p) = 1, so pi(p) is found by
 # factoring p - 1, which takes rho iterations: a budget of 1 cannot pay for them.
+# The sequence does not close mod p^2 at p - 1, so search factors that multiple
+# only when the closing step is stubbed to close there.
 RHO_MULTIPLE_P = 2092859
 
 
 @pytest.mark.parametrize("criterion", ["period", "all"])
-def test_search_unit_honours_the_factor_budget_in_period_factoring(criterion):
-    unit = [((1, validate_k(1)),), RHO_MULTIPLE_P - 50, RHO_MULTIPLE_P + 50, criterion, 1]
+def test_search_unit_honours_the_factor_budget_in_period_factoring(monkeypatch, criterion):
+    unit = ((1, validate_k(1)),), RHO_MULTIPLE_P - 50, RHO_MULTIPLE_P + 50, criterion, 1
+    assert wss._search_unit(unit) == []
+    real = lucas._closing
+
+    def candidate(k, p):
+        return (p - 1, (0, 1)) if p == RHO_MULTIPLE_P else real(k, p)
+
+    monkeypatch.setattr(wss, "_closing", candidate)
     with pytest.raises(FactorizationBudgetError) as info:
-        wss._search_unit(tuple(unit))
+        wss._search_unit(unit)
     assert info.value.cofactor == 1013 * 1033
-    unit[-1] = None
-    assert wss._search_unit(tuple(unit)) == []
 
 
 def test_search_allocates_no_object_per_cell(monkeypatch):
     # 20 k times the 1,000 primes up to 7,919 is 20,000 cells. The criterion is
     # stubbed out so that only the driver allocates; an object per cell would
     # cost tens of bytes per cell.
-    monkeypatch.setattr(wss, "_cell_is_hit", lambda k, p, hyp, criterion, budget, factored: None)
+    monkeypatch.setattr(wss, "_cell_is_hit", lambda k, p, hyp, criterion, budget: None)
     tracemalloc.start()
     try:
         search(1, 20, 7919, "entry", jobs=1)
@@ -437,6 +444,22 @@ def test_search_agrees_with_pointwise_period_check(k, p_idx):
     p = sieve_primes(100)[p_idx]
     res = search(k, k, p, "period")
     assert ((k, p) in [(h.k, h.p) for h in res.hits]) == is_wss_by_period(k, p)
+
+
+@pytest.mark.parametrize("criterion", ["period", "all"])
+def test_search_hits_equal_the_pointwise_periods(criterion):
+    # Search rejects most cells on the closing ladder alone; its hits must
+    # still be exactly the cells where _periods_p_p2 finds pi(p^2) = pi(p),
+    # with the same periods, over a grid holding p = 2 and delta_p = 0.
+    res = search(1, 30, 499, criterion, jobs=1)
+    expected = [
+        (k, p, *periods)
+        for k in range(1, 31)
+        if k not in res.skipped_k
+        for p in sieve_primes(499)
+        if len(set(periods := lucas._periods_p_p2(k, p))) == 1
+    ]
+    assert [(h.k, h.p, h.pi_p, h.pi_p2) for h in res.hits] == expected
 
 
 # ---------------------------------------------------------- work per k and cell
@@ -507,26 +530,42 @@ def _wall_multiple(k, p):
     return {1: p - 1, -1: 2 * (p + 1), 0: 4 * p}[legendre_euler(k * k + 4, p)]
 
 
+def _closing_cells(ks, primes):
+    """The (k, p), p-major, whose sequence closes mod p^2 at Wall's multiple L: pi(p^2) | L."""
+    cells = [(k, p, _wall_multiple(k, p)) for p in primes for k in ks]
+    return [
+        (k, p) for k, p, L in cells if (u_term(k, L, p * p), u_term(k, L + 1, p * p)) == (0, 1)
+    ]
+
+
 @pytest.mark.parametrize("criterion", ["period", "all"])
 def test_search_factors_only_the_wall_multiple_per_cell(period_factorize_calls, criterion):
     # p comes from the sieve, so p itself is never factored: the calls are
-    # Wall's multiples only. The k of one p share each distinct multiple, so
-    # it is factored once for that p, in the order the k first need it.
+    # Wall's multiples only, one for each cell whose sequence closes mod p^2
+    # at that multiple, and none for a cell that does not.
     res = search(1, 10, 60, criterion, jobs=1)
     scanned = [k for k in range(1, 11) if k not in res.skipped_k]
-    expected = [
-        multiple
-        for p in sieve_primes(60)
-        for multiple in dict.fromkeys(_wall_multiple(k, p) for k in scanned)
-    ]
-    assert period_factorize_calls == expected
+    closing = _closing_cells(scanned, sieve_primes(60))
+    assert 0 < len(closing) < len(scanned) * len(sieve_primes(60))
+    assert period_factorize_calls == [_wall_multiple(k, p) for k, p in closing]
+
+
+@pytest.fixture
+def closing_ladders(monkeypatch):
+    """The (k, p) of every _closing call, in order."""
+    return _record_calls(monkeypatch, lucas._closing)
 
 
 @pytest.mark.parametrize("criterion", ["period", "all"])
-def test_search_walks_each_period_once_per_cell(period_walks, general_periods, criterion):
+def test_search_walks_each_period_once_per_cell(
+    closing_ladders, period_walks, general_periods, criterion
+):
+    # One closing ladder per cell; only a cell that closes is factored and stripped.
     res = search(1, 10, 60, criterion, jobs=1)
-    cells = [(k, p) for k in range(1, 11) if k not in res.skipped_k for p in sieve_primes(60)]
-    assert sorted(period_walks) == cells
+    scanned = [k for k in range(1, 11) if k not in res.skipped_k]
+    cells = [(k, p) for p in sieve_primes(60) for k in scanned]
+    assert closing_ladders == cells
+    assert period_walks == _closing_cells(scanned, sieve_primes(60))
     assert general_periods == []
 
 
@@ -535,6 +574,20 @@ def test_period_criterion_and_classify_walk_once(period_walks, general_periods):
     classify(2, 13)
     assert period_walks == [(2, 13), (2, 13)]
     assert general_periods == []
+
+
+def test_search_period_window_runs_about_one_ladder_per_cell(monkeypatch):
+    # The benchmark's seed-1 search-period window: 20 k times the 430 primes
+    # up to 3,000. A cell that is factored and stripped runs about 4 ladders,
+    # so these bounds hold only if a cell its closing ladder rejects runs no
+    # other ladder and factors nothing.
+    ladders = _record_calls(monkeypatch, lucas._u_pair)
+    factorings = _record_calls(monkeypatch, intmath.factorize, (lucas,))
+    res = search(42, 61, 3000, "period", jobs=1)
+    cells = 20 * len(sieve_primes(3000))
+    assert len(res.hits) == 30
+    assert len(ladders) <= 1.05 * cells
+    assert len(factorings) < 60
 
 
 # ------------------------------------------------------- primality, proven once
