@@ -13,13 +13,10 @@ Exit codes: 0 success, 1 hypothesis violation, 2 invalid arguments,
 
 from __future__ import annotations
 
-import argparse
 import functools
-import json
 import os
 import sys
 import time
-from dataclasses import asdict
 
 from .errors import HypothesisError, InconsistencyError, ResourceBudgetError
 from .intmath import DEFAULT_FACTOR_BUDGET
@@ -49,6 +46,8 @@ def _resolve_budget(args) -> int:
 
 def _emit(args, result: dict, text_lines: list[str], ms: float) -> None:
     if args.format == "json":
+        import json
+
         record = {
             "schema_version": SCHEMA_VERSION,
             "command": args.command,
@@ -69,7 +68,7 @@ def _yesno(flag: bool) -> str:
 
 
 def _classification_result(c: WssClassification) -> dict:
-    d = dict(vars(c))  # every field is an int or a bool, so a shallow copy is the asdict
+    d = c._asdict()
     del d["k"], d["p"]
     d["is_wss"] = c.is_wss
     return d
@@ -128,7 +127,7 @@ def cmd_monogenic(args, budget: int) -> tuple[dict, list[str]]:
         f"  monogenic    {_yesno(report.monogenic)}",
     ]
     if args.report:
-        result["verdicts"] = [asdict(v) for v in report.verdicts]
+        result["verdicts"] = [v._asdict() for v in report.verdicts]
         for v in report.verdicts:
             word = "divides" if v.divides_index else "does not divide"
             text.append(f"  q={v.q} {word} the index (item {v.item_used}: {v.detail})")
@@ -161,7 +160,7 @@ def cmd_discriminant(args, budget: int) -> tuple[dict, list[str]]:
     return result, text
 
 
-def _add_common(sub: argparse.ArgumentParser, func, inputs: tuple[str, ...]) -> None:
+def _add_common(sub, func, inputs: tuple[str, ...]) -> None:
     """The options every command shares, func as its handler, and the inputs its JSON echoes."""
     sub.set_defaults(func=func, inputs=inputs)
     sub.add_argument("--format", choices=("text", "json"), default="text")
@@ -180,8 +179,10 @@ def _add_common(sub: argparse.ArgumentParser, func, inputs: tuple[str, ...]) -> 
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
     """The parser of every command, built once per process: parse_args keeps no state in it."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="wss",
         description="k-Wall-Sun-Sun prime detection and trinomial monogenicity checks",

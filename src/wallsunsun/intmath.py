@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import FactorizationBudgetError
 
@@ -111,12 +111,10 @@ def require_prime(n: int, name: str = "p") -> None:
         raise ValueError(f"{name} must be prime, got {n}")
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(namedtuple("Factorization", "n factors")):
     """Complete factorization of n: factors is sorted ((prime, exponent), ...)."""
 
-    n: int
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
     def is_squarefree(self) -> bool:
         return all(e == 1 for _, e in self.factors)

@@ -69,19 +69,15 @@ def _strip(k: int, period: int, exponents, m: int) -> int:
     return period
 
 
-def pisano_period(
-    k: int, m: int, *, factor_budget: int | None = None, factors: tuple | None = None
-) -> int:
+def pisano_period(k: int, m: int, *, factor_budget: int | None = None) -> int:
     """Least period of (U_n) mod m, by order finding on Wall's multiple.
 
     factor_budget caps the rho iterations of each factoring step, as in
-    factorize; running out raises FactorizationBudgetError. factors, when
-    given, is the factorization of m as ((prime, exponent), ...), which the
-    caller vouches for; m itself is then not factored.
+    factorize; running out raises FactorizationBudgetError.
     """
     _check_k_m(k, m)
     exponents: dict[int, int] = {}
-    for q, e in factors or factorize(m, budget=factor_budget).factors:
+    for q, e in factorize(m, budget=factor_budget).factors:
         piece = dict(factorize(_prime_multiple(k, q), budget=factor_budget).factors)
         piece[q] = piece.get(q, 0) + e - 1
         for r, a in piece.items():

@@ -8,27 +8,45 @@ alpha -> k - alpha is a ring automorphism fixing Z/mZ.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .intmath import require_prime
 
 
-@dataclass(frozen=True, slots=True)
 class QuadElem:
-    """a + b*alpha in R_m for the ring determined by (k, m)."""
+    """a + b*alpha in R_m for the ring determined by (k, m); immutable, a and b reduced mod m.
 
-    a: int
-    b: int
-    k: int
-    m: int
+    Not a tuple, so that an int times an element raises rather than repeats it.
+    """
 
-    def __post_init__(self):
-        if self.m < 2:
-            raise ValueError(f"m must be >= 2, got {self.m}")
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        object.__setattr__(self, "a", self.a % self.m)
-        object.__setattr__(self, "b", self.b % self.m)
+    __slots__ = ("a", "b", "k", "m")
+
+    def __init__(self, a: int, b: int, k: int, m: int):
+        if m < 2:
+            raise ValueError(f"m must be >= 2, got {m}")
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        for name, value in (("a", a % m), ("b", b % m), ("k", k), ("m", m)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"QuadElem is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"QuadElem is immutable: cannot delete {name!r}")
+
+    def _key(self) -> tuple[int, int, int, int]:
+        return self.a, self.b, self.k, self.m
+
+    def __eq__(self, other) -> bool:
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"QuadElem(a={self.a!r}, b={self.b!r}, k={self.k!r}, m={self.m!r})"
+
+    def __reduce__(self):
+        return QuadElem, self._key()
 
     def _match(self, other: "QuadElem") -> None:
         if not isinstance(other, QuadElem):

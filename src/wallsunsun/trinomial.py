@@ -13,28 +13,29 @@ factors k^2+4 there and nowhere else.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import HypothesisError, InconsistencyError
-from .intmath import Factorization, factorize, require_prime
+from .intmath import factorize, require_prime
 
 
-@dataclass(frozen=True)
-class Trinomial:
+class Trinomial(namedtuple("Trinomial", "N M A B")):
     """x^N + A x^M + B with 0 < M < N and A, B nonzero."""
 
-    N: int
-    M: int
-    A: int
-    B: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.N < 2:
-            raise ValueError(f"degree N must be >= 2, got {self.N}")
-        if not 0 < self.M < self.N:
-            raise ValueError(f"middle exponent must satisfy 0 < M < N, got M={self.M}")
-        if self.A == 0 or self.B == 0:
+    def __new__(cls, N: int, M: int, A: int, B: int) -> "Trinomial":
+        if N < 2:
+            raise ValueError(f"degree N must be >= 2, got {N}")
+        if not 0 < M < N:
+            raise ValueError(f"middle exponent must satisfy 0 < M < N, got M={M}")
+        if A == 0 or B == 0:
             raise ValueError("A and B must be nonzero (otherwise not a trinomial)")
+        return tuple.__new__(cls, (N, M, A, B))
+
+    @classmethod
+    def _make(cls, iterable) -> "Trinomial":
+        return cls(*iterable)  # so _replace checks its result too
 
     def coeffs(self) -> list[int]:
         """Little-endian coefficient list (index i holds the x^i coefficient)."""
@@ -48,21 +49,16 @@ class Trinomial:
         return f"x^{self.N} + ({self.A})*x^{self.M} + ({self.B})"
 
 
-@dataclass(frozen=True)
-class IndexVerdict:
-    """Per-prime index decision: does q divide [Z_K : Z[theta]]?"""
+class IndexVerdict(namedtuple("IndexVerdict", "q divides_index item_used detail")):
+    """Per-prime index decision: does q divide [Z_K : Z[theta]]? item_used is the deciding case."""
 
-    q: int
-    divides_index: bool
-    item_used: int  # which of the five cases decided it
-    detail: str
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class MonogenicityReport:
-    trinomial: Trinomial
-    verdicts: tuple[IndexVerdict, ...]
-    monogenic: bool
+class MonogenicityReport(namedtuple("MonogenicityReport", "trinomial verdicts monogenic")):
+    """The index verdict of each prime of the discriminant; monogenic when none divides."""
+
+    __slots__ = ()
 
     @property
     def discriminant(self) -> int:
@@ -70,19 +66,14 @@ class MonogenicityReport:
         return _fp_discriminant(self.trinomial)
 
 
-@dataclass(frozen=True)
-class WssHypotheses:
+class WssHypotheses(namedtuple("WssHypotheses", "k d_value four_ok squarefree_ok factorization")):
     """The standing hypotheses on k, under which F_p is irreducible for every prime p.
 
     factorization is the complete factorization of D = (k^2+4)/gcd(2,k)^2
     that decided squarefree_ok.
     """
 
-    k: int
-    d_value: int
-    four_ok: bool
-    squarefree_ok: bool
-    factorization: Factorization
+    __slots__ = ()
 
     @property
     def satisfied(self) -> bool:

@@ -14,7 +14,7 @@ all of them side by side as a cross-check:
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import CriterionUnsupportedError, InconsistencyError
 from .intmath import jacobi, primes_between, require_prime
@@ -27,20 +27,20 @@ CRITERIA = ("period", "entry", "alpha", "monogenic", "all")
 UNIT_WIDTH = 2**18
 
 
-@dataclass(frozen=True)
-class WssClassification:
-    k: int
-    p: int
-    delta: int
-    delta_applicable: bool  # False at p = 2, where delta is not defined
-    pi_p: int
-    pi_p2: int
-    by_period: bool
-    by_entry: bool
-    by_alpha: bool
-    by_monogenic: bool
-    entry_alpha_derived: bool  # True at p = 2: entry/alpha mirror the period verdict
-    consistent: bool
+class WssClassification(
+    namedtuple(
+        "WssClassification",
+        "k p delta delta_applicable pi_p pi_p2 by_period by_entry by_alpha by_monogenic"
+        " entry_alpha_derived consistent",
+    )
+):
+    """Every criterion's verdict on (k, p).
+
+    At p = 2, where delta is not defined, delta_applicable is False and
+    entry_alpha_derived is True: the entry and alpha fields mirror the period verdict.
+    """
+
+    __slots__ = ()
 
     @property
     def is_wss(self) -> bool:
@@ -155,23 +155,16 @@ def _classify(
     return record
 
 
-@dataclass(frozen=True)
-class SearchHit:
-    k: int
-    p: int
-    pi_p: int
-    pi_p2: int
-    classification: WssClassification | None = None
+class SearchHit(namedtuple("SearchHit", "k p pi_p pi_p2 classification", defaults=(None,))):
+    """A hit of search; classification is the WssClassification when the criterion is all."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SearchResult:
-    criterion: str
-    k_min: int
-    k_max: int
-    p_max: int
-    hits: tuple[SearchHit, ...]
-    skipped_k: tuple[int, ...]
+class SearchResult(namedtuple("SearchResult", "criterion k_min k_max p_max hits skipped_k")):
+    """The hits of a search in (k, p) order, and the k it skipped because the hypotheses fail."""
+
+    __slots__ = ()
 
 
 def _cell_is_hit(

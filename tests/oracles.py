@@ -79,12 +79,13 @@ def is_wss_brute(k: int, p: int) -> bool:
 def periods_two_step(k: int, p: int) -> tuple[int, int]:
     """(pi(p), pi(p^2)) as the library found them before its one-ladder path.
 
-    pi(p) comes from pisano_period with p's factorization given, then
-    pi(p^2) = pi(p) exactly when U also closes mod p^2 at pi(p).
+    pi(p) comes from the general pisano_period, which factors the prime p
+    to ((p, 1),) itself, then pi(p^2) = pi(p) exactly when U also closes
+    mod p^2 at pi(p).
     """
     from wallsunsun.lucas import lucas_u, pisano_period
 
-    pi_p = pisano_period(k, p, factors=((p, 1),))
+    pi_p = pisano_period(k, p)
     p2 = p * p
     if (lucas_u(k, pi_p, p2), lucas_u(k, pi_p + 1, p2)) == (0, 1):
         return pi_p, pi_p

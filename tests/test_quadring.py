@@ -68,6 +68,23 @@ def test_elements_are_hashable_values():
     assert len({QuadElem(2, 3, 5, 7), QuadElem(9, -4, 5, 7)}) == 1
 
 
+def test_elements_are_not_sequences():
+    x = QuadElem(2, 3, 5, 7)
+    with pytest.raises(TypeError):
+        3 * x
+    with pytest.raises(TypeError):
+        len(x)
+
+
+def test_elements_refuse_new_and_deleted_attributes():
+    x = QuadElem(2, 3, 5, 7)
+    with pytest.raises(AttributeError):
+        x.c = 1
+    with pytest.raises(AttributeError):
+        del x.a
+    assert not hasattr(x, "__dict__")
+
+
 # --------------------------------------------------------------- ring axioms
 
 

@@ -79,6 +79,10 @@ def test_trinomial_rejects_degenerate_shapes():
     for args in [(1, 0, 1, 1), (4, 0, 1, 1), (4, 4, 1, 1), (4, 2, 0, 1), (4, 2, 1, 0)]:
         with pytest.raises(ValueError):
             Trinomial(*args)
+    with pytest.raises(ValueError):
+        Trinomial(4, 2, 1, 1)._replace(M=4)
+    with pytest.raises(ValueError):
+        Trinomial._make((4, 2, 0, 1))
 
 
 def test_wss_trinomial_shape():
