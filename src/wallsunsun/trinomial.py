@@ -184,15 +184,16 @@ def index_d_value(t: Trinomial) -> tuple[int, int]:
     D = N^N1 * B^(N1-M1) - (-1)^N1 * M^M1 * (N-M)^(N1-M1) * A^N1.
     r^N1 always divides D; the division is checked.
     """
-    r = math.gcd(t.N, t.M)
-    n1, m1 = t.N // r, t.M // r
-    d = (
-        t.N**n1 * t.B ** (n1 - m1)
-        - (-1) ** n1 * t.M**m1 * (t.N - t.M) ** (n1 - m1) * t.A**n1
-    )
+    return _d_norm(*t)
+
+
+def _d_norm(n: int, m: int, a: int, b: int) -> tuple[int, int]:
+    r = math.gcd(n, m)
+    n1, m1 = n // r, m // r
+    d = n**n1 * b ** (n1 - m1) - (-1) ** n1 * m**m1 * (n - m) ** (n1 - m1) * a**n1
     norm, rem = divmod(d, r**n1)
     if rem:
-        raise InconsistencyError(f"r^N1 does not divide D for {t}")
+        raise InconsistencyError(f"r^N1 does not divide D for {Trinomial(n, m, a, b)}")
     return d, norm
 
 
@@ -305,13 +306,14 @@ def _case4_g_h(N: int, M: int, A: int, B: int, q: int, qm: int) -> tuple[list[in
     taken on coordinate pairs.
     """
     mod = q * q
-    g = [c % mod for c in Trinomial(N // qm, M // qm, A, B).coeffs()]
     if N // qm == 2:
         # G = x^2 + A x + B, with A and B unreduced: small factors in every product
+        g = [B % mod, A % mod, 1]
         x0, x1 = _pair_powmod(0, 1, M, B, A, mod)
         n0, n1 = _pair_powmod(-B, -A, qm, B, A, mod)  # (-A x - B)^qm
         num = [(n0 + A * x0 + B) % mod, (n1 + A * x1) % mod]
     else:
+        g = [c % mod for c in Trinomial(N // qm, M // qm, A, B).coeffs()]
         x_m = _powmod([0, 1], M, g, mod)
         num = _powmod([-c for c in g[:-1]], qm, g, mod)  # (-A x^(M/qm) - B)^qm
         num = [(c + A * xc) % mod for c, xc in zip(num, x_m)]
@@ -335,10 +337,15 @@ def index_check_prime(t: Trinomial, q: int) -> IndexVerdict:
 
 def _index_verdict(t: Trinomial, q: int, d_value: tuple[int, int]) -> IndexVerdict:
     """index_check_prime for a q the caller has proven prime; d_value is index_d_value(t)."""
-    d, norm = d_value
-    n, m, a, b = t.N, t.M, t.A, t.B
+    return IndexVerdict(q, *_index_case(*t, q, *d_value))
+
+
+def _index_case(
+    n: int, m: int, a: int, b: int, q: int, d: int, norm: int
+) -> tuple[bool, int, str]:
+    """(divides_index, item_used, detail) of _index_verdict, on plain ints; (d, norm) = _d_norm."""
     if not ((m > 1 and b % q == 0) or d % q == 0):
-        raise ValueError(f"q = {q} does not divide the discriminant of {t}")
+        raise ValueError(f"q = {q} does not divide the discriminant of {Trinomial(n, m, a, b)}")
 
     r = math.gcd(n, m)
     n1, m1 = n // r, m // r
@@ -347,7 +354,7 @@ def _index_verdict(t: Trinomial, q: int, d_value: tuple[int, int]) -> IndexVerdi
     if a % q == 0 and b % q == 0:
         ok = b % q2 != 0
         detail = "q^2 does not divide B" if ok else "q^2 divides B"
-        return IndexVerdict(q, not ok, 1, detail)
+        return not ok, 1, detail
 
     if a % q == 0:
         # B1 = (B + (-B)^(q^e))/q with q^e || N; only its residue mod q is
@@ -355,27 +362,29 @@ def _index_verdict(t: Trinomial, q: int, d_value: tuple[int, int]) -> IndexVerdi
         e = _valuation(q, n)
         b1_num = (b + pow(-b, q**e, q2)) % q2
         if b1_num % q:
-            raise InconsistencyError(f"q = {q} does not divide B + (-B)^(q^e) for {t}")
+            raise InconsistencyError(
+                f"q = {q} does not divide B + (-B)^(q^e) for {Trinomial(n, m, a, b)}"
+            )
         b1 = b1_num // q % q
         a2 = a // q % q
         if a2 == 0 and b1 != 0:
-            return IndexVerdict(q, False, 2, "q | A2 and q does not divide B1")
+            return False, 2, "q | A2 and q does not divide B1"
         val = a2 * (pow(-b, m1, q) * pow(a2, n1, q) - pow(-b1, n1, q)) % q
         if val:
-            return IndexVerdict(
-                q, False, 2, "A2*((-B)^M1*A2^N1 - (-B1)^N1) nonzero mod q"
-            )
-        return IndexVerdict(q, True, 2, "both case-2 branches vanish mod q")
+            return False, 2, "A2*((-B)^M1*A2^N1 - (-B1)^N1) nonzero mod q"
+        return True, 2, "both case-2 branches vanish mod q"
 
     if b % q == 0:
         j = _valuation(q, n - m)
         a1_num = (a + pow(-a, q**j, q2)) % q2
         if a1_num % q:
-            raise InconsistencyError(f"q = {q} does not divide A + (-A)^(q^j) for {t}")
+            raise InconsistencyError(
+                f"q = {q} does not divide A + (-A)^(q^j) for {Trinomial(n, m, a, b)}"
+            )
         a1 = a1_num // q % q
         b2 = b // q % q
         if a1 == 0 and b2 != 0:
-            return IndexVerdict(q, False, 3, "q | A1 and q does not divide B2")
+            return False, 3, "q | A1 and q does not divide B2"
         val = (
             a1
             * pow(b2, m - 1, q)
@@ -383,21 +392,19 @@ def _index_verdict(t: Trinomial, q: int, d_value: tuple[int, int]) -> IndexVerdi
             % q
         )
         if val:
-            return IndexVerdict(
-                q, False, 3, "A1*B2^(M-1)*((-A)^M1*A1^(N1-M1) - (-B2)^(N1-M1)) nonzero mod q"
-            )
-        return IndexVerdict(q, True, 3, "both case-3 branches vanish mod q")
+            return False, 3, "A1*B2^(M-1)*((-A)^M1*A1^(N1-M1) - (-B2)^(N1-M1)) nonzero mod q"
+        return True, 3, "both case-3 branches vanish mod q"
 
     if m % q == 0:
         mv = min(_valuation(q, n), _valuation(q, m))
         g, h = _case4_g_h(n, m, a, b, q, q**mv)
         gcd = _poly_gcd(g, h, q)
         degree = len(gcd) - 1 if gcd else -1
-        return IndexVerdict(q, degree != 0, 4, f"gcd(G, H) over F_q has degree {degree}")
+        return degree != 0, 4, f"gcd(G, H) over F_q has degree {degree}"
 
     ok = norm % q2 != 0
     detail = "q^2 does not divide D/r^N1" if ok else "q^2 divides D/r^N1"
-    return IndexVerdict(q, not ok, 5, detail)
+    return not ok, 5, detail
 
 
 def is_monogenic_fp(
@@ -430,3 +437,11 @@ def _monogenic_report(hyp: WssHypotheses, p: int) -> MonogenicityReport:
         verdicts=verdicts,
         monogenic=not any(v.divides_index for v in verdicts),
     )
+
+
+def _fp_divides_index(hyp: WssHypotheses, p: int) -> bool:
+    """not _monogenic_report(hyp, p).monogenic, building no record; every q is still decided."""
+    n, m, a = 2 * p, p, -hyp.k
+    d, norm = _d_norm(n, m, a, -1)
+    qs = {p, *hyp.factorization.primes()}
+    return any([_index_case(n, m, a, -1, q, d, norm)[0] for q in qs])

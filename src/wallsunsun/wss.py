@@ -20,7 +20,7 @@ from .errors import CriterionUnsupportedError, InconsistencyError
 from .intmath import jacobi, primes_between, require_prime
 from .lucas import _closing, _periods_p_p2, lucas_u
 from .quadring import _fp_alpha
-from .trinomial import WssHypotheses, _monogenic_report, is_monogenic_fp, validate_k
+from .trinomial import WssHypotheses, _fp_divides_index, validate_k
 
 CRITERIA = ("period", "entry", "alpha", "monogenic", "all")
 # The widest p-range one search unit sieves, so a unit's memory does not grow with p_max.
@@ -94,7 +94,10 @@ def is_wss_by_alpha(k: int, p: int, *, factor_budget: int | None = None) -> bool
 
 
 def is_wss_by_monogenicity(k: int, p: int, *, factor_budget: int | None = None) -> bool:
-    return not is_monogenic_fp(k, p, factor_budget=factor_budget).monogenic
+    """F_p is not monogenic: some prime divides its index, under the hypotheses."""
+    hyp = validate_k(k, factor_budget=factor_budget).require()
+    require_prime(p)
+    return _fp_divides_index(hyp, p)
 
 
 def classify(k: int, p: int, *, factor_budget: int | None = None) -> WssClassification:
@@ -124,7 +127,7 @@ def _classify(
     delta = 0 if derived else jacobi(k * k + 4, p)
     by_entry = not derived and _entry_hit(k, p, delta)
     by_alpha = not derived and _fp_alpha(k, p) == (0, 0)
-    by_monogenic = not _monogenic_report(hyp, p).monogenic
+    by_monogenic = _fp_divides_index(hyp, p)
     if hits_only and closing[1] != (0, 1) and not (by_entry or by_alpha or by_monogenic):
         return None
     pi_p, pi_p2 = _periods_p_p2(k, p, factor_budget=factor_budget, closing=closing)
@@ -183,7 +186,7 @@ def _cell_is_hit(
     elif criterion == "alpha" and p != 2:
         hit = _fp_alpha(k, p) == (0, 0)
     elif criterion == "monogenic":
-        hit = not _monogenic_report(hyp, p).monogenic
+        hit = _fp_divides_index(hyp, p)
     else:
         closing = _closing(k, p)
         hit = closing[1] == (0, 1)

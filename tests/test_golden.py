@@ -25,6 +25,9 @@ CASES = [
     ("check_2_1546463.txt", ("check", "--k", "2", "--p", "1546463")),
     ("monogenic_report_1_3.json", ("monogenic", "--k", "1", "--p", "3", "--report")),
     ("monogenic_report_7_5.json", ("monogenic", "--k", "7", "--p", "5", "--report")),
+    # F_p is not monogenic here: case 4 at q = p, case 2 at q = 2 and case 5 say "divides"
+    ("monogenic_report_2_13.json", ("monogenic", "--k", "2", "--p", "13", "--report")),
+    ("monogenic_report_3_241.json", ("monogenic", "--k", "3", "--p", "241", "--report")),
     ("period_1_169.json", ("period", "--k", "1", "--m", "169")),
     ("discriminant_2_13.json", ("discriminant", "--k", "2", "--p", "13")),
     *(

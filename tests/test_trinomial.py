@@ -17,6 +17,9 @@ from wallsunsun.trinomial import (
     MonogenicityReport,
     Trinomial,
     _case4_g_h,
+    _fp_divides_index,
+    _index_case,
+    _monogenic_report,
     _mulmod,
     _pair_powmod,
     _poly_gcd,
@@ -271,6 +274,12 @@ def test_index_criterion_against_maximal_order_oracle():
 def test_index_criterion_on_wss_family(k, p, q, divides, item):
     v = index_check_prime(wss_trinomial(k, p), q)
     assert (v.divides_index, v.item_used) == (divides, item), v
+
+
+@pytest.mark.parametrize("t,q,divides,item", SYNTHETIC_ITEM_CASES)
+def test_index_case_core_is_what_index_check_prime_reports(t, q, divides, item):
+    v = index_check_prime(t, q)
+    assert _index_case(*t, q, *index_d_value(t)) == (divides, item, v.detail), (t, q)
 
 
 def test_index_criterion_validation():
@@ -569,3 +578,38 @@ def test_case4_on_a_quadratic_g_rejects_an_inconsistent_q_power():
     # of q = 2, and the numerator reduces to 3 mod (G, 4), which 2 does not divide.
     with pytest.raises(InconsistencyError):
         _case4_g_h(6, 3, 1, 1, 2, 3)
+
+
+# ------------------------------------------------ the F_p verdict on plain ints
+
+
+KNOWN_FP_HITS = [(2, 13), (2, 31), (3, 241), (2, 1546463), (26, 2461951)]
+
+
+def test_fp_divides_index_matches_the_report_on_every_small_cell():
+    """Every valid k <= 30 with every p < 500: p = 2, and p | k^2+4, where p is
+    also one of the primes of k^2+4, included."""
+    ramified = 0
+    for k in range(1, 31):
+        hyp = validate_k(k)
+        if not hyp.satisfied:
+            continue
+        for p in sieve_primes(499):
+            want = not _monogenic_report(hyp, p).monogenic
+            assert _fp_divides_index(hyp, p) is want, (k, p)
+            ramified += p in hyp.factorization.primes()
+    assert ramified >= 20
+
+
+@pytest.mark.parametrize("k", [3, 10, 26])
+def test_fp_divides_index_matches_the_report_below_1e7(k):
+    hyp = validate_k(k)
+    for p in PRIMES_TO_1E7:
+        assert _fp_divides_index(hyp, p) is (not _monogenic_report(hyp, p).monogenic), (k, p)
+
+
+@pytest.mark.parametrize("k,p", KNOWN_FP_HITS)
+def test_fp_divides_index_flags_the_known_hits(k, p):
+    hyp = validate_k(k)
+    assert _fp_divides_index(hyp, p)
+    assert not _monogenic_report(hyp, p).monogenic

@@ -6,6 +6,7 @@ import multiprocessing
 import pickle
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -410,6 +411,58 @@ def test_search_allocates_no_object_per_cell(monkeypatch):
     assert peak < 8 * 20_000, peak
 
 
+INDEX_RECORDS = (trinomial.Trinomial, trinomial.IndexVerdict, trinomial.MonogenicityReport)
+
+
+@pytest.fixture
+def records_built(monkeypatch):
+    """Constructions of the index criterion's records, by class name."""
+    built = Counter()
+    for cls in INDEX_RECORDS:
+
+        def counting(klass, *args, _new=cls.__new__, _name=cls.__name__, **kwargs):
+            built[_name] += 1
+            return _new(klass, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__new__", counting)
+    return built
+
+
+@pytest.mark.parametrize("criterion", ["monogenic", "all"])
+def test_search_decides_the_index_without_records(records_built, criterion):
+    # k = 34 (even, D = 2 * 5 * 29) and k = 35 have no hit up to 1,000; 36 is skipped
+    result = search(34, 36, 1000, criterion, jobs=1)
+    assert result.hits == () and result.skipped_k == (36,)
+    assert not records_built
+
+
+def test_only_the_report_builds_index_records(records_built):
+    # 10^2 + 4 = 8 * 13, so the index primes of F_101 are 2, 13 and 101
+    assert classify(10, 101).consistent
+    assert not is_wss_by_monogenicity(10, 101)
+    assert not records_built
+    report = is_monogenic_fp(10, 101)
+    assert [v.q for v in report.verdicts] == [2, 13, 101]
+    assert records_built == {"Trinomial": 1, "IndexVerdict": 3, "MonogenicityReport": 1}
+
+
+def test_case4_inconsistency_reaches_search_and_the_cli(monkeypatch, capsys):
+    # x^p = (-Ax - B)^p = 1 makes the case-4 numerator -k mod p^2, which p | k avoids
+    monkeypatch.setattr(trinomial, "_pair_powmod", lambda *args: (1, 0))
+    for criterion in ("monogenic", "all"):
+        with pytest.raises(InconsistencyError, match="case-4 numerator"):
+            search(1, 3, 50, criterion, jobs=1)
+    with pytest.raises(InconsistencyError):
+        classify(2, 13)
+    with pytest.raises(InconsistencyError):
+        is_wss_by_monogenicity(2, 13)
+    argv = ["search", "--k-min", "1", "--k-max", "3", "--p-max", "50"]
+    assert cli.main([*argv, "--criterion", "monogenic", "--jobs", "1"]) == 3
+    capsys.readouterr()
+    with pytest.raises(ValueError, match="does not divide the discriminant"):
+        trinomial.index_check_prime(trinomial.Trinomial(2, 1, -1, -1), 3)
+
+
 def test_search_validation():
     with pytest.raises(ValueError):
         search(0, 5, 100, "all")
@@ -705,3 +758,14 @@ def test_classify_agrees_at_large_p():
             assert not _closes(k, c.pi_p // r, p), (cell, r)
         assert c.pi_p2 in (c.pi_p, p * c.pi_p), cell
         assert _closes(k, c.pi_p, p * p) == (c.pi_p2 == c.pi_p), cell
+
+
+def test_largest_known_hit_is_flagged_by_every_criterion():
+    """(26, 2461951) is the only known hit above 2 * 10^6 under the hypotheses."""
+    k, p = 26, 2461951
+    c = classify(k, p)
+    assert c.is_wss and c.consistent
+    assert c.by_period and c.by_entry and c.by_alpha and c.by_monogenic
+    hyp = validate_k(k)
+    assert trinomial._fp_divides_index(hyp, p)
+    assert not trinomial._monogenic_report(hyp, p).monogenic
