@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 hypothesis violation, 2 invalid arguments,
 from __future__ import annotations
 
 import functools
+import math
 import os
 import sys
 import time
@@ -61,6 +62,14 @@ def _emit(args, result: dict, text_lines: list[str], ms: float) -> None:
         for line in text_lines:
             print(line)
     print(f"timing_ms={ms:.3f}", file=sys.stderr)
+
+
+def _require_printable(t) -> None:
+    """ResourceBudgetError unless str() can print |disc(t)| for t = F_p; builds no large int."""
+    k, p, limit = -t.A, t.M, getattr(sys, "get_int_max_str_digits", int)()  # none before 3.10.7
+    log10 = p * (2 * math.log10(p) + math.log10(k * k + 4))  # of |disc|, to far better than 1
+    if limit and (log10 > limit + 1 or log10 > limit - 1 and abs(_fp_discriminant(t)) >= 10**limit):
+        raise ResourceBudgetError(f"disc F_p for k={k}, p={p} has over {limit} digits to print")
 
 
 def _yesno(flag: bool) -> str:
@@ -115,6 +124,7 @@ def cmd_search(args, budget: int) -> tuple[dict, list[str]]:
 
 def cmd_monogenic(args, budget: int) -> tuple[dict, list[str]]:
     report = is_monogenic_fp(args.k, args.p, factor_budget=budget)
+    _require_printable(report.trinomial)
     t, disc = report.trinomial, report.discriminant
     result = {
         "trinomial": {"N": t.N, "M": t.M, "A": t.A, "B": t.B},
@@ -143,6 +153,7 @@ def cmd_discriminant(args, budget: int) -> tuple[dict, list[str]]:
     t = wss_trinomial(args.k, args.p)
     if args.p > DISCRIMINANT_MAX_P:
         raise ResourceBudgetError(f"resultant needs p <= {DISCRIMINANT_MAX_P}, got {args.p}")
+    _require_printable(t)
     closed, resultant = _fp_discriminant(t), discriminant_resultant(t)
     match = closed == resultant
     result = {"closed_form": closed, "resultant": resultant, "match": match}
@@ -160,22 +171,39 @@ def cmd_discriminant(args, budget: int) -> tuple[dict, list[str]]:
     return result, text
 
 
-def _add_common(sub, func, inputs: tuple[str, ...]) -> None:
-    """The options every command shares, func as its handler, and the inputs its JSON echoes."""
-    sub.set_defaults(func=func, inputs=inputs)
-    sub.add_argument("--format", choices=("text", "json"), default="text")
-    sub.add_argument(
-        "--factor-budget",
-        type=int,
-        default=None,
-        metavar="ITERS",
-        help="rho iteration cap for factoring (default: WSS_FACTOR_BUDGET env or 10^7)",
-    )
-    sub.add_argument(
-        "--timing",
-        action="store_true",
-        help="embed timing_ms in the JSON record (breaks byte-determinism)",
-    )
+# Each command's handler, help, the options its JSON record echoes as inputs, and its others.
+_COMMANDS = {
+    "check": (cmd_check, "classify one (k, p) pair by all criteria", ("k", "p"), ()),
+    "search": (
+        cmd_search,
+        "scan a (k, p) grid for hits",
+        ("k_min", "k_max", "p_max", "criterion"),
+        ("jobs",),
+    ),
+    "monogenic": (
+        cmd_monogenic, "monogenicity report for x^(2p) - k x^p - 1", ("k", "p"), ("report",)
+    ),
+    "period": (cmd_period, "period of the Lucas sequence mod m", ("k", "m"), ()),
+    "discriminant": (
+        cmd_discriminant, "closed-form discriminant with resultant cross-check", ("k", "p"), ()
+    ),
+}
+# argparse keywords of each option but the required ints; the last three end every command.
+_OPTIONS = {
+    "criterion": {"choices": CRITERIA, "default": "all"},
+    "jobs": {"type": int, "help": "worker processes (default and cap: cpu count)"},
+    "report": {"action": "store_true", "help": "include per-prime verdicts"},
+    "format": {"choices": ("text", "json"), "default": "text"},
+    "factor_budget": {
+        "type": int,
+        "metavar": "ITERS",
+        "help": "rho iteration cap for factoring (default: WSS_FACTOR_BUDGET env or 10^7)",
+    },
+    "timing": {
+        "action": "store_true",
+        "help": "embed timing_ms in the JSON record (breaks byte-determinism)",
+    },
+}
 
 
 @functools.cache
@@ -188,40 +216,12 @@ def _build_parser():
         description="k-Wall-Sun-Sun prime detection and trinomial monogenicity checks",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p_check = subs.add_parser("check", help="classify one (k, p) pair by all criteria")
-    p_check.add_argument("--k", type=int, required=True)
-    p_check.add_argument("--p", type=int, required=True)
-    _add_common(p_check, cmd_check, ("k", "p"))
-
-    p_search = subs.add_parser("search", help="scan a (k, p) grid for hits")
-    p_search.add_argument("--k-min", type=int, required=True)
-    p_search.add_argument("--k-max", type=int, required=True)
-    p_search.add_argument("--p-max", type=int, required=True)
-    p_search.add_argument("--criterion", choices=CRITERIA, default="all")
-    p_search.add_argument(
-        "--jobs", type=int, default=None, help="worker processes (default and cap: cpu count)"
-    )
-    _add_common(p_search, cmd_search, ("k_min", "k_max", "p_max", "criterion"))
-
-    p_mono = subs.add_parser("monogenic", help="monogenicity report for x^(2p) - k x^p - 1")
-    p_mono.add_argument("--k", type=int, required=True)
-    p_mono.add_argument("--p", type=int, required=True)
-    p_mono.add_argument("--report", action="store_true", help="include per-prime verdicts")
-    _add_common(p_mono, cmd_monogenic, ("k", "p"))
-
-    p_period = subs.add_parser("period", help="period of the Lucas sequence mod m")
-    p_period.add_argument("--k", type=int, required=True)
-    p_period.add_argument("--m", type=int, required=True)
-    _add_common(p_period, cmd_period, ("k", "m"))
-
-    p_disc = subs.add_parser(
-        "discriminant", help="closed-form discriminant with resultant cross-check"
-    )
-    p_disc.add_argument("--k", type=int, required=True)
-    p_disc.add_argument("--p", type=int, required=True)
-    _add_common(p_disc, cmd_discriminant, ("k", "p"))
-
+    for command, (func, help_text, inputs, others) in _COMMANDS.items():
+        sub = subs.add_parser(command, help=help_text)
+        sub.set_defaults(func=func, inputs=inputs)
+        for name in (*inputs, *others, "format", "factor_budget", "timing"):
+            keywords = _OPTIONS.get(name, {"type": int, "required": True})
+            sub.add_argument("--" + name.replace("_", "-"), **keywords)
     return parser
 
 

@@ -126,4 +126,5 @@ def _periods_p_p2(
 def period_p_squared(k: int, p: int) -> int:
     """pi(p^2) for prime p."""
     require_prime(p)
+    _check_k_m(k, p)
     return _periods_p_p2(k, p)[1]

@@ -332,18 +332,21 @@ def index_check_prime(t: Trinomial, q: int) -> IndexVerdict:
     so the discriminant itself is never built.
     """
     require_prime(q, "q")
-    return _index_verdict(t, q, index_d_value(t))
+    return IndexVerdict(q, *_index_case(*t, q, *index_d_value(t)))
 
 
-def _index_verdict(t: Trinomial, q: int, d_value: tuple[int, int]) -> IndexVerdict:
-    """index_check_prime for a q the caller has proven prime; d_value is index_d_value(t)."""
-    return IndexVerdict(q, *_index_case(*t, q, *d_value))
+def _quotient(c: int, q: int, e: int, what: str, f: tuple) -> int:
+    """(c + (-c)^(q^e))/q mod q, read off mod q^2 with the division checked; what and f name it."""
+    num = (c + pow(-c, q**e, q * q)) % (q * q)
+    if num % q:
+        raise InconsistencyError(f"q = {q} does not divide {what} for {Trinomial(*f)}")
+    return num // q
 
 
 def _index_case(
     n: int, m: int, a: int, b: int, q: int, d: int, norm: int
 ) -> tuple[bool, int, str]:
-    """(divides_index, item_used, detail) of _index_verdict, on plain ints; (d, norm) = _d_norm."""
+    """index_check_prime's (divides_index, item_used, detail) on plain ints; (d, norm) = _d_norm."""
     if not ((m > 1 and b % q == 0) or d % q == 0):
         raise ValueError(f"q = {q} does not divide the discriminant of {Trinomial(n, m, a, b)}")
 
@@ -357,15 +360,7 @@ def _index_case(
         return not ok, 1, detail
 
     if a % q == 0:
-        # B1 = (B + (-B)^(q^e))/q with q^e || N; only its residue mod q is
-        # ever used, so it is read off mod q^2 (divisibility checked).
-        e = _valuation(q, n)
-        b1_num = (b + pow(-b, q**e, q2)) % q2
-        if b1_num % q:
-            raise InconsistencyError(
-                f"q = {q} does not divide B + (-B)^(q^e) for {Trinomial(n, m, a, b)}"
-            )
-        b1 = b1_num // q % q
+        b1 = _quotient(b, q, _valuation(q, n), "B + (-B)^(q^e)", (n, m, a, b))
         a2 = a // q % q
         if a2 == 0 and b1 != 0:
             return False, 2, "q | A2 and q does not divide B1"
@@ -375,13 +370,7 @@ def _index_case(
         return True, 2, "both case-2 branches vanish mod q"
 
     if b % q == 0:
-        j = _valuation(q, n - m)
-        a1_num = (a + pow(-a, q**j, q2)) % q2
-        if a1_num % q:
-            raise InconsistencyError(
-                f"q = {q} does not divide A + (-A)^(q^j) for {Trinomial(n, m, a, b)}"
-            )
-        a1 = a1_num // q % q
+        a1 = _quotient(a, q, _valuation(q, n - m), "A + (-A)^(q^j)", (n, m, a, b))
         b2 = b // q % q
         if a1 == 0 and b2 != 0:
             return False, 3, "q | A1 and q does not divide B2"
@@ -431,7 +420,7 @@ def _monogenic_report(hyp: WssHypotheses, p: int) -> MonogenicityReport:
     # D = (k/2)^2 + 1 is even, so dividing by 4 loses no prime.
     qs = sorted({p, *hyp.factorization.primes()})
     d_value = index_d_value(t)
-    verdicts = tuple(_index_verdict(t, q, d_value) for q in qs)
+    verdicts = tuple(IndexVerdict(q, *_index_case(*t, q, *d_value)) for q in qs)
     return MonogenicityReport(
         trinomial=t,
         verdicts=verdicts,

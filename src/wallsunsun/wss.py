@@ -18,7 +18,7 @@ from collections import namedtuple
 
 from .errors import CriterionUnsupportedError, InconsistencyError
 from .intmath import jacobi, primes_between, require_prime
-from .lucas import _closing, _periods_p_p2, lucas_u
+from .lucas import _check_k_m, _closing, _periods_p_p2, lucas_u
 from .quadring import _fp_alpha
 from .trinomial import WssHypotheses, _fp_divides_index, validate_k
 
@@ -59,6 +59,7 @@ def delta_p(k: int, p: int) -> int:
 
 def is_wss_by_period(k: int, p: int) -> bool:
     require_prime(p)
+    _check_k_m(k, p)
     pi_p, pi_p2 = _periods_p_p2(k, p)
     return pi_p2 == pi_p
 
@@ -193,7 +194,10 @@ def _cell_is_hit(
     if not hit:
         return None
     pi_p, pi_p2 = _periods_p_p2(k, p, factor_budget=budget, closing=closing)
-    return SearchHit(k=k, p=p, pi_p=pi_p, pi_p2=pi_p2) if closing is None or pi_p == pi_p2 else None
+    if pi_p != pi_p2 and closing is None:
+        raise InconsistencyError(f"{criterion} hits k={k}, p={p} but pi(p)={pi_p}, pi(p^2)={pi_p2}")
+    # a cell that closes mod p^2 at L is still no hit when p | L and pi(p^2) = p*pi(p)
+    return SearchHit(k=k, p=p, pi_p=pi_p, pi_p2=pi_p2) if pi_p == pi_p2 else None
 
 
 def _search_unit(unit: tuple) -> list[SearchHit]:

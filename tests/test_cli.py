@@ -19,10 +19,12 @@ else:  # pytest depends on tomli below 3.11
     import tomli as tomllib
 
 import wallsunsun
+from wallsunsun import cli
 from wallsunsun.cli import DISCRIMINANT_MAX_P, SCHEMA_VERSION, main
 from wallsunsun.errors import FactorizationBudgetError, ResourceBudgetError
+from wallsunsun.intmath import is_prime
 from wallsunsun.lucas import pisano_period
-from wallsunsun.trinomial import fp_discriminant
+from wallsunsun.trinomial import fp_discriminant, wss_trinomial
 
 HARD_K = "4001742"  # see test_wss.py: rho-hard hypothesis quantity
 # k = 2 mod 4 whose D = (k^2+4)/4 factors within 300 rho iterations while
@@ -196,6 +198,63 @@ def test_discriminant_refuses_p_above_its_cap_quickly(capsys):
         DISCRIMINANT_2_13_JSON,
     )
     assert run_cli(capsys, "discriminant", "--k", "2", "--p", "13")[:2] == (0, DISCRIMINANT_2_13_TEXT)
+
+
+@pytest.fixture
+def default_str_digits():
+    """str() of an int at the interpreter's default limit of 4300 digits."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("monogenic", "--k", "1", "--p", "677"),  # |disc F_677| has 4307 digits
+        ("discriminant", "--k", str(10**20), "--p", "101"),  # 4445 digits
+    ],
+)
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_discriminant_too_long_to_print_is_over_budget(capsys, default_str_digits, argv, fmt):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv, "--format", fmt)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (4, "")
+    assert err.startswith(f"resource budget exceeded: disc F_p for k={argv[2]}, p={argv[4]}")
+
+
+def _least_unprintable_k(p, limit):
+    """The least k with |disc F_p| >= 10^limit, by bisection."""
+    lo, hi = 1, 10 ** (limit // (2 * p) + 1)  # k^(2p) alone reaches 10^limit at hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if abs(fp_discriminant(mid, p)) >= 10**limit else (mid + 1, hi)
+    return lo
+
+
+@pytest.mark.parametrize("limit", [640, 4300])
+def test_the_digit_check_matches_str_exactly(default_str_digits, limit):
+    # str() fails exactly when |disc| >= 10^limit. The check decides that on
+    # floats away from the limit, so the cells include the k either side of it.
+    sys.set_int_max_str_digits(limit)
+    cells = [(k, p) for k in (1, 2, 3, 10**6, 10**40) for p in filter(is_prime, range(2, 700))]
+    for p in (2, 13, 101):
+        k = _least_unprintable_k(p, limit)
+        cells += [(k - 1, p), (k, p)]
+    for k, p in cells:
+        try:
+            str(fp_discriminant(k, p))
+            printable = True
+        except ValueError:
+            printable = False
+        try:
+            cli._require_printable(wss_trinomial(k, p))
+            passed = True
+        except ResourceBudgetError:
+            passed = False
+        assert passed == printable, (k, p, limit)
 
 
 def test_monogenic_report_toggle(capsys):

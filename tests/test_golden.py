@@ -3,8 +3,11 @@
 Each case runs cli.main in-process and compares what it printed with the
 checked-in file. To regenerate the files after an intended change of
 output, run `PYTHONPATH=src python tests/test_golden.py` and review the diff.
+argparse wraps --help to the terminal width, so every case runs with
+COLUMNS=80.
 """
 
+import os
 import sys
 from pathlib import Path
 
@@ -28,6 +31,8 @@ CASES = [
     # F_p is not monogenic here: case 4 at q = p, case 2 at q = 2 and case 5 say "divides"
     ("monogenic_report_2_13.json", ("monogenic", "--k", "2", "--p", "13", "--report")),
     ("monogenic_report_3_241.json", ("monogenic", "--k", "3", "--p", "241", "--report")),
+    # |disc F_673| has 4278 digits, just inside str()'s default limit of 4300
+    ("monogenic_1_673.txt", ("monogenic", "--k", "1", "--p", "673")),
     ("period_1_169.json", ("period", "--k", "1", "--m", "169")),
     ("discriminant_2_13.json", ("discriminant", "--k", "2", "--p", "13")),
     *(
@@ -37,6 +42,11 @@ CASES = [
     # stdout does not depend on --jobs, so both runs share one file
     ("search_all.json", (*SEARCH, "--criterion", "all", "--jobs", "2")),
     ("search_all.txt", (*SEARCH, "--criterion", "all", "--jobs", "1")),
+    ("help.txt", ("--help",)),
+    *(
+        (f"help_{command}.txt", (command, "--help"))
+        for command in ("check", "search", "monogenic", "period", "discriminant")
+    ),
 ]
 
 
@@ -47,6 +57,7 @@ def _argv(name, argv):
 @pytest.mark.parametrize("name,argv", CASES, ids=[f"{n}:{' '.join(a)}" for n, a in CASES])
 def test_stdout_matches_golden_file(capsys, monkeypatch, name, argv):
     monkeypatch.delenv("WSS_FACTOR_BUDGET", raising=False)
+    monkeypatch.setenv("COLUMNS", "80")
     code = main(_argv(name, argv))
     out = capsys.readouterr().out
     assert code == 0
@@ -57,6 +68,7 @@ if __name__ == "__main__":
     import contextlib
     import io
 
+    os.environ["COLUMNS"] = "80"
     GOLDEN.mkdir(exist_ok=True)
     for name, argv in CASES:
         buf = io.StringIO()

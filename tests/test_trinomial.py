@@ -24,6 +24,7 @@ from wallsunsun.trinomial import (
     _pair_powmod,
     _poly_gcd,
     _powmod,
+    _quotient,
     _valuation,
     discriminant_resultant,
     fp_discriminant,
@@ -292,6 +293,19 @@ def test_index_criterion_validation():
     # Swan's factor B^(M-1) is 1, so 5 does not divide the discriminant
     with pytest.raises(ValueError, match="does not divide the discriminant"):
         index_check_prime(Trinomial(3, 1, 1, 5), 5)
+
+
+def test_quotient_is_the_exact_division_mod_q():
+    # cases 2 and 3 read (c + (-c)^(q^e))/q mod q off mod q^2; q always divides
+    # the numerator (Fermat), so the error path needs a prime q that is not prime
+    for q in (2, 3, 5, 7):
+        for e in (1, 2, 3):
+            for c in (*range(-30, 31), 10**20 + 7, -(3**40)):
+                exact, rem = divmod(c + (-c) ** (q**e), q)
+                assert rem == 0 and _quotient(c, q, e, "", ()) == exact % q, (c, q, e)
+    message = r"q = 4 does not divide B \+ \(-B\)\^\(q\^e\) for x\^2 \+ \(-1\)\*x\^1 \+ \(1\)"
+    with pytest.raises(InconsistencyError, match=message):
+        _quotient(1, 4, 1, "B + (-B)^(q^e)", (2, 1, -1, 1))
 
 
 # ------------------------------------------------- wss-family invariant sweep

@@ -1,6 +1,7 @@
 """Hypothesis validation, the four criteria, classify, and search."""
 
 import concurrent.futures
+import inspect
 import json
 import multiprocessing
 import pickle
@@ -463,6 +464,28 @@ def test_case4_inconsistency_reaches_search_and_the_cli(monkeypatch, capsys):
         trinomial.index_check_prime(trinomial.Trinomial(2, 1, -1, -1), 3)
 
 
+@pytest.mark.parametrize(
+    "criterion,detector,yes",
+    [
+        ("entry", "_entry_hit", True),
+        ("alpha", "_fp_alpha", (0, 0)),
+        ("monogenic", "_fp_divides_index", True),
+    ],
+)
+def test_a_single_criterion_hit_must_have_equal_periods(
+    monkeypatch, capsys, criterion, detector, yes
+):
+    # pi(7) = 16 and pi(49) = 112 at k = 3, so a detector that reports (3, 7) broke ranks
+    real = getattr(wss, detector)
+    monkeypatch.setattr(wss, detector, lambda *args: yes if args[1] == 7 else real(*args))
+    message = rf"{criterion} hits k=3, p=7 but pi\(p\)=16, pi\(p\^2\)=112"
+    with pytest.raises(InconsistencyError, match=message):
+        search(3, 3, 20, criterion, jobs=1)
+    argv = ["search", "--k-min", "3", "--k-max", "3", "--p-max", "20", "--jobs", "1"]
+    assert cli.main([*argv, "--criterion", criterion]) == 3
+    assert "internal inconsistency" in capsys.readouterr().err
+
+
 def test_search_validation():
     with pytest.raises(ValueError):
         search(0, 5, 100, "all")
@@ -769,3 +792,25 @@ def test_largest_known_hit_is_flagged_by_every_criterion():
     hyp = validate_k(k)
     assert trinomial._fp_divides_index(hyp, p)
     assert not trinomial._monogenic_report(hyp, p).monogenic
+
+
+# ------------------------------------------------------------ public k check
+
+
+def test_every_public_function_taking_k_rejects_k_below_1():
+    # every other argument is valid, so only k can be at fault
+    valid = {"p": 13, "m": 13, "n": 3, "a": 1, "b": 1}
+    takes_k = [
+        value
+        for value in map(vars(wallsunsun).get, wallsunsun.__all__)
+        if callable(value)
+        and not (isinstance(value, type) and issubclass(value, (tuple, Exception)))  # records
+        and "k" in inspect.signature(value).parameters
+    ]
+    assert {is_wss_by_period, lucas.period_p_squared, validate_k, classify} <= set(takes_k)
+    for func in takes_k:
+        params = inspect.signature(func).parameters.values()
+        for k in (0, -1):
+            args = [k if q.name == "k" else valid[q.name] for q in params if q.default is q.empty]
+            with pytest.raises(ValueError, match="k must be >= 1"):
+                func(*args)
