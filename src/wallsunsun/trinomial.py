@@ -274,19 +274,19 @@ def _powmod(base: list[int], e: int, g: list[int], mod: int) -> list[int]:
     return result
 
 
-def _pair_powmod(x: int, y: int, e: int, g0: int, g1: int, mod: int) -> tuple[int, int]:
-    """(x + y*X)^e in (Z/mod)[X]/(X^2 + g1*X + g0) by left-to-right square-and-multiply.
+def _pair_powmod(e: int, g0: int, g1: int, mod: int) -> tuple[int, int]:
+    """X^e in (Z/mod)[X]/(X^2 + g1*X + g0) by left-to-right square-and-multiply.
 
     Each bit of e squares the running pair (a, b); a set bit then multiplies
-    it by the base. X^2 = -g1*X - g0 folds each product back to a pair.
+    it by X, which is the shift (a, b) -> (-g0*b, a - g1*b). X^2 = -g1*X - g0
+    folds each square back to a pair.
     """
     a, b = 1, 0
     for bit in bin(e)[2:]:
         t = b * b
         a, b = (a * a - g0 * t) % mod, (2 * a * b - g1 * t) % mod
         if bit == "1":
-            t = b * y
-            a, b = (a * x - g0 * t) % mod, (a * y + b * x - g1 * t) % mod
+            a, b = -g0 * b % mod, (a - g1 * b) % mod
     return a, b
 
 
@@ -298,25 +298,23 @@ def _case4_g_h(N: int, M: int, A: int, B: int, q: int, qm: int) -> tuple[list[in
     full shared q-power out of (N, M).
 
     Only gcd(G, H) over F_q is needed, and it equals gcd(G, H mod G). G is
-    monic, so reduction mod G commutes with the exact division by q: the
-    numerator is powered in (Z/q^2)[x]/(G), checked to be divisible by q
-    (C(qm, i) carries a factor q for 0 < i < qm, and Fermat kills
-    c + (-c)^qm), and divided. That is O(deg(G)^2 log M) work: O(log p) at
-    q = p for x^{2p} - k x^p - 1, where G is quadratic and both powers are
-    taken on coordinate pairs.
+    monic, so x^(N/qm) = -A x^(M/qm) - B mod G in Z[x], and raising both
+    sides to qm gives (-A x^(M/qm) - B)^qm = x^N: the numerator q*H is the
+    trinomial x^N + A x^M + B itself, reduced mod G. It is built in
+    (Z/q^2)[x]/(G), checked to be divisible by q, and divided. That is
+    O(deg(G)^2 log N) work: at q = p for x^{2p} - k x^p - 1, G is quadratic,
+    N = 2M, and one ladder for x^p on coordinate pairs and one squaring give it.
     """
     mod = q * q
     if N // qm == 2:
-        # G = x^2 + A x + B, with A and B unreduced: small factors in every product
+        # G = x^2 + A x + B and N = 2M, with A and B unreduced: small factors in every product
         g = [B % mod, A % mod, 1]
-        x0, x1 = _pair_powmod(0, 1, M, B, A, mod)
-        n0, n1 = _pair_powmod(-B, -A, qm, B, A, mod)  # (-A x - B)^qm
-        num = [(n0 + A * x0 + B) % mod, (n1 + A * x1) % mod]
+        a, b = _pair_powmod(M, B, A, mod)  # x^M = a + b x
+        num = [(a * a - B * b * b + A * a + B) % mod, (2 * a * b - A * b * b + A * b) % mod]
     else:
         g = [c % mod for c in Trinomial(N // qm, M // qm, A, B).coeffs()]
         x_m = _powmod([0, 1], M, g, mod)
-        num = _powmod([-c for c in g[:-1]], qm, g, mod)  # (-A x^(M/qm) - B)^qm
-        num = [(c + A * xc) % mod for c, xc in zip(num, x_m)]
+        num = [(c + A * xc) % mod for c, xc in zip(_powmod([0, 1], N, g, mod), x_m)]
         num[0] = (num[0] + B) % mod
     if any(c % q for c in num):
         raise InconsistencyError(f"q = {q} does not divide the case-4 numerator (qm = {qm})")
@@ -410,12 +408,7 @@ def is_monogenic_fp(
     """
     hyp = validate_k(k, factor_budget=factor_budget).require()
     require_prime(p)
-    return _monogenic_report(hyp, p)
-
-
-def _monogenic_report(hyp: WssHypotheses, p: int) -> MonogenicityReport:
-    """is_monogenic_fp for a k whose hypotheses hold and a proven p; tests and factors nothing."""
-    t = Trinomial(N=2 * p, M=p, A=-hyp.k, B=-1)
+    t = Trinomial(N=2 * p, M=p, A=-k, B=-1)
     # primes(k^2+4) = primes(D): D = k^2+4 for odd k, and for k = 2 mod 4,
     # D = (k/2)^2 + 1 is even, so dividing by 4 loses no prime.
     qs = sorted({p, *hyp.factorization.primes()})
@@ -429,7 +422,7 @@ def _monogenic_report(hyp: WssHypotheses, p: int) -> MonogenicityReport:
 
 
 def _fp_divides_index(hyp: WssHypotheses, p: int) -> bool:
-    """not _monogenic_report(hyp, p).monogenic, building no record; every q is still decided."""
+    """not is_monogenic_fp(k, p).monogenic, building no record; every q is still decided."""
     n, m, a = 2 * p, p, -hyp.k
     d, norm = _d_norm(n, m, a, -1)
     qs = {p, *hyp.factorization.primes()}

@@ -1,15 +1,18 @@
 """Trinomial discriminants and the five-case prime-index criterion."""
 
+import ast
+import inspect
 import itertools
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import Poly, symbols, ZZ
 from sympy.polys.numberfields.basis import round_two
 
-from wallsunsun import trinomial
+from wallsunsun import quadring, trinomial
 from wallsunsun.errors import HypothesisError, InconsistencyError
 from wallsunsun.intmath import factorize, is_prime, jacobi
 from wallsunsun.trinomial import (
@@ -19,7 +22,6 @@ from wallsunsun.trinomial import (
     _case4_g_h,
     _fp_divides_index,
     _index_case,
-    _monogenic_report,
     _mulmod,
     _pair_powmod,
     _poly_gcd,
@@ -507,12 +509,12 @@ def test_degree_2_product_matches_schoolbook_division(q, coords):
     assert _mulmod([f0, f1], [h0, h1], g, mod) == want + [0] * (2 - len(want))
 
 
-def _slow_pair_power(x, y, e, g0, g1, mod):
-    """(x + y*X)^e mod (X^2 + g1*X + g0, mod) by e multiplications and long division."""
+def _slow_pair_power(e, g0, g1, mod):
+    """X^e mod (X^2 + g1*X + g0, mod) by e multiplications by X and long division."""
     g = [g0, g1, 1]
     acc = [1]
     for _ in range(e):
-        acc = poly_rem_mod(poly_mul(acc, [x, y]), g, mod)
+        acc = poly_rem_mod(poly_mul(acc, [0, 1]), g, mod)
     acc = poly_rem_mod(acc, g, mod)
     return tuple(acc + [0] * (2 - len(acc)))
 
@@ -522,28 +524,24 @@ def test_pair_powmod_small_exponents_match_repeated_multiplication():
     for q in PRIMES_TO_1E7[::5]:
         mod = q * q
         g = [(rng.randrange(mod), rng.randrange(mod)) for _ in range(2)] + [(mod - 1, mod - 3)]
-        bases = [(0, 1), (1, 0), (mod - 1, mod - 1), (rng.randrange(mod), rng.randrange(mod))]
         for g0, g1 in g:
-            for x, y in bases:
-                for e in range(12):
-                    want = _slow_pair_power(x, y, e, g0, g1, mod)
-                    assert _pair_powmod(x, y, e, g0, g1, mod) == want, (q, g0, g1, x, y, e)
+            for e in range(12):
+                want = _slow_pair_power(e, g0, g1, mod)
+                assert _pair_powmod(e, g0, g1, mod) == want, (q, g0, g1, e)
 
 
 @given(
     st.sampled_from(PRIMES_TO_1E7),
     log_uniform_integers(0, 10**13),
-    st.tuples(residue, residue),
     st.tuples(*[st.one_of(residue, st.integers(-(10**6), 10**6))] * 2),
 )
 @settings(deadline=None, max_examples=300, derandomize=True)
-def test_pair_powmod_matches_the_generic_list_power(q, e, base, g_low):
-    """Any reduced base, and G's low coefficients reduced or signed as case 4 passes them."""
+def test_pair_powmod_matches_the_generic_list_power(q, e, g_low):
+    """G's low coefficients reduced or signed as case 4 passes them."""
     mod = q * q
-    x, y = (c % mod for c in base)
     g0, g1 = g_low
-    want = _powmod([x, y], e, [g0 % mod, g1 % mod, 1], mod)
-    assert list(_pair_powmod(x, y, e, g0, g1, mod)) == want, (q, e, x, y, g0, g1)
+    want = _powmod([0, 1], e, [g0 % mod, g1 % mod, 1], mod)
+    assert list(_pair_powmod(e, g0, g1, mod)) == want, (q, e, g0, g1)
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7])
@@ -594,6 +592,51 @@ def test_case4_on_a_quadratic_g_rejects_an_inconsistent_q_power():
         _case4_g_h(6, 3, 1, 1, 2, 3)
 
 
+
+def test_case4_on_a_quadratic_g_runs_one_ladder_for_x_alone(monkeypatch):
+    assert list(inspect.signature(_pair_powmod).parameters) == ["e", "g0", "g1", "mod"]
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _pair_powmod(*args)
+
+    monkeypatch.setattr(trinomial, "_pair_powmod", counted)
+    for p, k in [(2, 1), (13, 2), (1009, 3), (1546463, 2)]:
+        calls.clear()
+        _case4_g_h(2 * p, p, -k, -1, p, p)
+        assert calls == [(p, -1, -k, p * p)], (p, k)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 26, 10**6 + 3])
+def test_case4_numerator_at_q_p_is_fp_at_alpha(k):
+    """Both are F_p(x) mod (x^2 - kx - 1, p^2): trinomial reduces F_p by its own
+    ladder, quadring evaluates it at alpha by another."""
+    for p in [*sieve_primes(2999), *PRIMES_TO_1E7]:
+        if k % p:
+            h = _case4_g_h(2 * p, p, -k, -1, p, p)[1]
+            assert [p * c for c in h] == list(quadring._fp_alpha(k, p)), (k, p)
+
+
+def _imported_modules(name):
+    tree = ast.parse(Path(inspect.getfile(trinomial)).with_name(f"{name}.py").read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.rpartition(".")[2] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            found |= {(node.module or "").rpartition(".")[2]}
+            found |= {alias.name for alias in node.names}
+    return found
+
+
+@pytest.mark.parametrize("module,other", [("trinomial", "quadring"), ("quadring", "trinomial")])
+def test_alpha_and_monogenic_criteria_import_neither_each_other_nor_lucas(module, other):
+    """The independence rule: the two criteria stay checks on each other and on entry."""
+    imported = _imported_modules(module)
+    assert "intmath" in imported and not imported & {other, "lucas"}, (module, imported)
+
+
 # ------------------------------------------------ the F_p verdict on plain ints
 
 
@@ -609,7 +652,7 @@ def test_fp_divides_index_matches_the_report_on_every_small_cell():
         if not hyp.satisfied:
             continue
         for p in sieve_primes(499):
-            want = not _monogenic_report(hyp, p).monogenic
+            want = not is_monogenic_fp(k, p).monogenic
             assert _fp_divides_index(hyp, p) is want, (k, p)
             ramified += p in hyp.factorization.primes()
     assert ramified >= 20
@@ -619,11 +662,11 @@ def test_fp_divides_index_matches_the_report_on_every_small_cell():
 def test_fp_divides_index_matches_the_report_below_1e7(k):
     hyp = validate_k(k)
     for p in PRIMES_TO_1E7:
-        assert _fp_divides_index(hyp, p) is (not _monogenic_report(hyp, p).monogenic), (k, p)
+        assert _fp_divides_index(hyp, p) is (not is_monogenic_fp(k, p).monogenic), (k, p)
 
 
 @pytest.mark.parametrize("k,p", KNOWN_FP_HITS)
 def test_fp_divides_index_flags_the_known_hits(k, p):
     hyp = validate_k(k)
     assert _fp_divides_index(hyp, p)
-    assert not _monogenic_report(hyp, p).monogenic
+    assert not is_monogenic_fp(k, p).monogenic

@@ -448,7 +448,7 @@ def test_only_the_report_builds_index_records(records_built):
 
 
 def test_case4_inconsistency_reaches_search_and_the_cli(monkeypatch, capsys):
-    # x^p = (-Ax - B)^p = 1 makes the case-4 numerator -k mod p^2, which p | k avoids
+    # x^p = 1 makes the case-4 numerator 1 + A + B = -k mod p^2, which p | k avoids
     monkeypatch.setattr(trinomial, "_pair_powmod", lambda *args: (1, 0))
     for criterion in ("monogenic", "all"):
         with pytest.raises(InconsistencyError, match="case-4 numerator"):
@@ -791,7 +791,7 @@ def test_largest_known_hit_is_flagged_by_every_criterion():
     assert c.by_period and c.by_entry and c.by_alpha and c.by_monogenic
     hyp = validate_k(k)
     assert trinomial._fp_divides_index(hyp, p)
-    assert not trinomial._monogenic_report(hyp, p).monogenic
+    assert not trinomial.is_monogenic_fp(k, p).monogenic
 
 
 # ------------------------------------------------------------ public k check
