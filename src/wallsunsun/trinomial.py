@@ -116,55 +116,36 @@ def wss_trinomial(k: int, p: int) -> Trinomial:
     return Trinomial(N=2 * p, M=p, A=-k, B=-1)
 
 
-def _bareiss_det(mat: list[list[int]]) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination.
-
-    Mutates mat. Every interior division is exact by the Bareiss identity.
-    """
-    n = len(mat)
-    sign = 1
-    prev = 1
-    for i in range(n - 1):
-        if mat[i][i] == 0:
-            for r in range(i + 1, n):
-                if mat[r][i]:
-                    mat[i], mat[r] = mat[r], mat[i]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        piv = mat[i][i]
-        top = mat[i]
-        for r in range(i + 1, n):
-            row = mat[r]
-            lead = row[i]
-            for c in range(i + 1, n):
-                row[c] = (row[c] * piv - lead * top[c]) // prev
-            row[i] = 0
-        prev = piv
-    return sign * mat[-1][-1]
-
-
 def discriminant_resultant(t: Trinomial) -> int:
-    """disc(t) = (-1)^(N(N-1)/2) * Res(t, t') computed from the Sylvester matrix.
+    """disc(t) = (-1)^(N(N-1)/2) * Res(t, t') computed by Euclid's remainder sequence.
 
     Independent of the closed form on purpose; the two are cross-checked in
-    tests and by the discriminant CLI command. Cost grows like N^3 with big
-    integer entries, so this is for desk-scale N.
+    tests and by the discriminant CLI command. Over Q, each step is
+    Res(f, g) = (-1)^(deg f deg g) * lc(g)^(deg f - deg r) * Res(g, r) with
+    r = f mod g, and a constant c ends it as Res(f, c) = c^deg f.
     """
-    n = t.N
-    f = list(reversed(t.coeffs()))
-    fp = [0] * n  # derivative, degree N-1, big-endian
-    fp[0] = n
-    fp[n - 1 - (t.M - 1)] = t.A * t.M
-    rows = []
-    for i in range(n - 1):
-        rows.append([0] * i + f + [0] * (n - 2 - i))
-    for i in range(n):
-        rows.append([0] * i + fp + [0] * (n - 1 - i))
-    res = _bareiss_det(rows)
-    sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return sign * res
+    import fractions
+
+    f = [fractions.Fraction(c) for c in t.coeffs()]
+    g = [i * c for i, c in enumerate(f)][1:]
+    res = fractions.Fraction(1)
+    while len(g) > 1:
+        r, u = f[:], len(g) - 1
+        for top in range(len(r) - 1, u - 1, -1):
+            c = r[top] / g[-1]
+            if c:
+                for i, gi in enumerate(g):
+                    if gi:
+                        r[top - u + i] -= c * gi
+        r = _trim(r[:u])
+        if not r:
+            return 0
+        res *= (-1) ** ((len(f) - 1) * u) * g[-1] ** (len(f) - len(r))
+        f, g = g, r
+    res *= g[0] ** (len(f) - 1)
+    if res.denominator != 1:
+        raise InconsistencyError(f"Res(t, t') = {res} is not an integer for {t}")
+    return (-1) ** (t.N * (t.N - 1) // 2) * int(res)
 
 
 def fp_discriminant(k: int, p: int) -> int:

@@ -235,7 +235,7 @@ def poly_eval(f: list[int], x: int) -> int:
 
 
 def sylvester_det(f: list[int], g: list[int]) -> int:
-    """Resultant via the Sylvester matrix and fraction-free elimination.
+    """Resultant via the Sylvester matrix and Gaussian elimination over Fraction.
 
     Coefficient lists are little-endian (f[i] is the x^i coefficient).
     """

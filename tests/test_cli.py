@@ -200,6 +200,19 @@ def test_discriminant_refuses_p_above_its_cap_quickly(capsys):
     assert run_cli(capsys, "discriminant", "--k", "2", "--p", "13")[:2] == (0, DISCRIMINANT_2_13_TEXT)
 
 
+def test_discriminant_at_the_cap_with_a_twenty_digit_k_is_quick(capsys, default_str_digits):
+    k = 10**19
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "discriminant", "--k", str(k), "--p", "101")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0, err
+    assert out.splitlines()[1:] == [
+        f"  closed form  {fp_discriminant(k, 101)}",
+        f"  resultant    {fp_discriminant(k, 101)}",
+        "  match        yes",
+    ]
+
+
 @pytest.fixture
 def default_str_digits():
     """str() of an int at the interpreter's default limit of 4300 digits."""
@@ -462,6 +475,8 @@ COLD_START_UNLOADED = (
     "inspect",
     "argparse",
     "json",
+    "fractions",
+    "decimal",
     "multiprocessing",
     "concurrent.futures.process",
 )

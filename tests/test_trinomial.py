@@ -107,6 +107,10 @@ def test_wss_trinomial_shape():
         (Trinomial(6, 3, -3, -1), 1601613),
         (Trinomial(4, 2, 1, 1), 144),
         (Trinomial(3, 1, 1, 4), -436),
+        # a repeated factor: the remainder sequence ends in a zero remainder
+        (Trinomial(2, 1, 2, 1), 0),  # (x + 1)^2
+        (Trinomial(4, 2, -2, 1), 0),  # (x^2 - 1)^2
+        (Trinomial(3, 1, -3, 2), 0),  # (x - 1)^2 (x + 2)
     ],
 )
 def test_discriminant_resultant_known_values(t, expected):
@@ -127,6 +131,13 @@ def test_fp_discriminant_closed_form_equals_resultant_grid():
     """Contract grid: k <= 10, p in the first six primes, sign included."""
     for k in range(1, 11):
         for p in (2, 3, 5, 7, 11, 13):
+            assert fp_discriminant(k, p) == discriminant_resultant(wss_trinomial(k, p)), (k, p)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 10**6 + 3, 10**19])
+def test_fp_discriminant_closed_form_equals_resultant_up_to_the_cli_cap(k):
+    for p in sieve_primes(101):
+        if p >= 17:
             assert fp_discriminant(k, p) == discriminant_resultant(wss_trinomial(k, p)), (k, p)
 
 
