@@ -26,9 +26,6 @@ from .trinomial import _fp_discriminant, discriminant_resultant, is_monogenic_fp
 from .wss import CRITERIA, WssClassification, classify, search
 
 SCHEMA_VERSION = "1"
-# The resultant cross-check takes under 1 ms at p = 101 for any k the digit limit lets print
-# (k = 1: 6 ms at p = 1009, 17 ms at p = 3001; 2-CPU Xeon). The cap stays, and so do exit codes.
-DISCRIMINANT_MAX_P = 101
 
 
 def _resolve_budget(args) -> int:
@@ -65,12 +62,15 @@ def _emit(args, result: dict, text_lines: list[str], ms: float) -> None:
     print(f"timing_ms={ms:.3f}", file=sys.stderr)
 
 
-def _require_printable(t) -> None:
-    """ResourceBudgetError unless str() can print |disc(t)| for t = F_p; builds no large int."""
-    k, p, limit = -t.A, t.M, getattr(sys, "get_int_max_str_digits", int)()  # none before 3.10.7
+def _printable_discriminant(k: int, p: int) -> int:
+    """disc F_p; ResourceBudgetError if over limit digits: str()'s limit, or 4300 where off."""
+    limit = getattr(sys, "get_int_max_str_digits", int)() or 4300  # none before 3.10.7
     log10 = p * (2 * math.log10(p) + math.log10(k * k + 4))  # of |disc|, to far better than 1
-    if limit and (log10 > limit + 1 or log10 > limit - 1 and abs(_fp_discriminant(t)) >= 10**limit):
-        raise ResourceBudgetError(f"disc F_p for k={k}, p={p} has over {limit} digits to print")
+    if log10 <= limit + 1:
+        disc = _fp_discriminant(k, p)
+        if log10 <= limit - 1 or abs(disc) < 10**limit:
+            return disc
+    raise ResourceBudgetError(f"disc F_p for k={k}, p={p} has over {limit} digits to print")
 
 
 def _yesno(flag: bool) -> str:
@@ -125,8 +125,7 @@ def cmd_search(args, budget: int) -> tuple[dict, list[str]]:
 
 def cmd_monogenic(args, budget: int) -> tuple[dict, list[str]]:
     report = is_monogenic_fp(args.k, args.p, factor_budget=budget)
-    _require_printable(report.trinomial)
-    t, disc = report.trinomial, report.discriminant
+    t, disc = report.trinomial, _printable_discriminant(args.k, args.p)
     result = {
         "trinomial": {"N": t.N, "M": t.M, "A": t.A, "B": t.B},
         "discriminant": disc,
@@ -152,10 +151,7 @@ def cmd_period(args, budget: int) -> tuple[dict, list[str]]:
 
 def cmd_discriminant(args, budget: int) -> tuple[dict, list[str]]:
     t = wss_trinomial(args.k, args.p)
-    if args.p > DISCRIMINANT_MAX_P:
-        raise ResourceBudgetError(f"resultant needs p <= {DISCRIMINANT_MAX_P}, got {args.p}")
-    _require_printable(t)
-    closed, resultant = _fp_discriminant(t), discriminant_resultant(t)
+    closed, resultant = _printable_discriminant(args.k, args.p), discriminant_resultant(t)
     match = closed == resultant
     result = {"closed_form": closed, "resultant": resultant, "match": match}
     text = [

@@ -63,7 +63,7 @@ class MonogenicityReport(namedtuple("MonogenicityReport", "trinomial verdicts mo
     @property
     def discriminant(self) -> int:
         """disc(F_p) by the closed form, built only when read (over 2p log2 p bits)."""
-        return _fp_discriminant(self.trinomial)
+        return _fp_discriminant(-self.trinomial.A, self.trinomial.M)
 
 
 class WssHypotheses(namedtuple("WssHypotheses", "k d_value four_ok squarefree_ok factorization")):
@@ -150,11 +150,11 @@ def discriminant_resultant(t: Trinomial) -> int:
 
 def fp_discriminant(k: int, p: int) -> int:
     """Closed form disc(F_p) = (-1)^((p+1)(2p-1)) * p^(2p) * (k^2+4)^p."""
-    return _fp_discriminant(wss_trinomial(k, p))
+    wss_trinomial(k, p)  # checks k and p
+    return _fp_discriminant(k, p)
 
 
-def _fp_discriminant(t: Trinomial) -> int:
-    k, p = -t.A, t.M  # t is F_p, checked when it was built
+def _fp_discriminant(k: int, p: int) -> int:
     sign = -1 if ((p + 1) * (2 * p - 1)) % 2 else 1
     return sign * p ** (2 * p) * (k * k + 4) ** p
 

@@ -48,6 +48,25 @@ def v_term(k: int, n: int, m: int | None = None) -> int:
     return a
 
 
+def fp_is_reducible(k: int, p: int) -> bool:
+    """Whether F_p = x^(2p) - k x^p - 1 factors over Q, for k >= 1 and an odd prime p.
+
+    F_p = g(x^p) with g = y^2 - k y - 1, so by Capelli's theorem it is
+    reducible exactly when g's root beta is a p-th power in Q(beta). beta
+    is a unit of norm -1, and a p-th root gamma of it is one too, with
+    trace some t >= 1; then k = gamma^p + conj(gamma)^p = V_p(t). Since
+    V_p(t) >= t^p, the search stops at t^p > k.
+    """
+    if k < 1 or p < 3 or p % 2 == 0:
+        raise ValueError(f"need k >= 1 and an odd prime p, got k={k}, p={p}")
+    t = 1
+    while t**p <= k:
+        if v_term(t, p) == k:
+            return True
+        t += 1
+    return False
+
+
 def state_period(k: int, m: int) -> int:
     """Period of (U_n, U_{n+1}) mod m by stepping until (0, 1) recurs."""
     if m < 2:
@@ -150,6 +169,31 @@ def quad_pow_slow(a: int, b: int, e: int, k: int, m: int) -> tuple[int, int]:
     x = (a % m, b % m)
     s = max(1, math.isqrt(e))
     return quad_mul(steps(steps(x, s), e // s), steps(x, e % s), k, m)
+
+
+def lifted_wss_k(p: int, k0: int, k_mod_4: int) -> int | None:
+    """The k in [1, 4p^2) with k = k0 mod p and k = k_mod_4 mod 4 that makes p k-Wall-Sun-Sun.
+
+    p is an odd prime and (k0^2+4 | p) = delta is nonzero, so p divides
+    U_{p-delta}(k) for every k = k0 + p*t. By Taylor's formula at k0,
+    U_{p-delta}(k0 + p*t)/p mod p is affine in t: one quad_pow_rtl ladder
+    mod p^2 at t = 0 and one at t = 1 give it, and the t where it vanishes
+    is the one lift that is a hit. None when the slope is 0 mod p. Being a
+    hit depends on k mod p^2 only, and p^2 = 1 mod 4, so adding j*p^2
+    moves k mod 4 by j.
+    """
+    delta = legendre_euler(k0 * k0 + 4, p)
+    if p == 2 or delta == 0:
+        raise ValueError(f"need an odd p with (k0^2+4 | p) nonzero, got k0={k0}, p={p}")
+    p2 = p * p
+    u0, u1 = (quad_pow_rtl(0, 1, p - delta, k, p2)[1] for k in (k0, k0 + p))
+    if u0 % p or u1 % p:
+        raise ArithmeticError(f"p = {p} does not divide U_(p-delta) at k0 = {k0}")
+    slope = (u1 - u0) // p % p
+    if slope == 0:
+        return None
+    k = (k0 + p * (-(u0 // p) * pow(slope, -1, p) % p)) % p2
+    return k + (k_mod_4 - k) % 4 * p2
 
 
 def legendre_euler(a: int, p: int) -> int:

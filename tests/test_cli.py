@@ -20,11 +20,11 @@ else:  # pytest depends on tomli below 3.11
 
 import wallsunsun
 from wallsunsun import cli
-from wallsunsun.cli import DISCRIMINANT_MAX_P, SCHEMA_VERSION, main
+from wallsunsun.cli import SCHEMA_VERSION, main
 from wallsunsun.errors import FactorizationBudgetError, ResourceBudgetError
 from wallsunsun.intmath import is_prime
 from wallsunsun.lucas import pisano_period
-from wallsunsun.trinomial import fp_discriminant, wss_trinomial
+from wallsunsun.trinomial import fp_discriminant
 
 HARD_K = "4001742"  # see test_wss.py: rho-hard hypothesis quantity
 # k = 2 mod 4 whose D = (k^2+4)/4 factors within 300 rho iterations while
@@ -183,21 +183,40 @@ DISCRIMINANT_2_13_TEXT = """discriminant of x^26 + (-2)*x^13 + (-1)
 """
 
 
-def test_discriminant_refuses_p_above_its_cap_quickly(capsys):
-    assert 13 <= DISCRIMINANT_MAX_P < 1009
+def test_discriminant_is_bounded_by_digits_not_by_p(capsys, default_str_digits):
+    # |disc F_p| at k = 1 has 4278 digits at p = 673 and 4307 at p = 677
     assert issubclass(FactorizationBudgetError, ResourceBudgetError)
-    start = time.perf_counter()
-    code, out, err = run_cli(capsys, "discriminant", "--k", "1", "--p", "1009")
-    assert time.perf_counter() - start < 1.0
-    assert (code, out) == (4, "")
-    assert err.startswith("resource budget exceeded:")
-    # p is still tested before the cap: a composite is invalid, not over budget
+    for p, want in (("673", 0), ("677", 4)):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "discriminant", "--k", "1", "--p", p)
+        assert time.perf_counter() - start < 1.0
+        assert code == want, err
+    assert out == "" and err.startswith("resource budget exceeded:")
+    # p is still tested before the digits: a composite is invalid, not over budget
     assert run_cli(capsys, "discriminant", "--k", "1", "--p", "1000")[0] == 2
     assert run_cli(capsys, "discriminant", "--k", "2", "--p", "13", "--format", "json")[:2] == (
         0,
         DISCRIMINANT_2_13_JSON,
     )
     assert run_cli(capsys, "discriminant", "--k", "2", "--p", "13")[:2] == (0, DISCRIMINANT_2_13_TEXT)
+
+
+@pytest.mark.parametrize("command", ["monogenic", "discriminant"])
+def test_with_the_digit_limit_off_the_default_limit_still_bounds_the_output(capsys, command):
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        at_default = run_cli(capsys, command, "--k", "1", "--p", "673")[:2]
+        sys.set_int_max_str_digits(0)
+        assert run_cli(capsys, command, "--k", "1", "--p", "673")[:2] == at_default
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, command, "--k", "1", "--p", "677")
+        assert time.perf_counter() - start < 1.0
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert at_default[0] == 0
+    assert (code, out) == (4, "")
+    assert err.startswith("resource budget exceeded: disc F_p for k=1, p=677 has over 4300 digits")
 
 
 def test_discriminant_at_the_cap_with_a_twenty_digit_k_is_quick(capsys, default_str_digits):
@@ -247,14 +266,16 @@ def _least_unprintable_k(p, limit):
     return lo
 
 
-@pytest.mark.parametrize("limit", [640, 4300])
+@pytest.mark.parametrize("limit", [640, 4300, 0])
 def test_the_digit_check_matches_str_exactly(default_str_digits, limit):
-    # str() fails exactly when |disc| >= 10^limit. The check decides that on
-    # floats away from the limit, so the cells include the k either side of it.
-    sys.set_int_max_str_digits(limit)
+    # str() fails exactly when |disc| >= 10^limit, and limit 0 (off) counts
+    # as the default 4300. The check decides that on floats away from the
+    # limit, so the cells include the k either side of it.
+    digits = limit or 4300
+    sys.set_int_max_str_digits(digits)
     cells = [(k, p) for k in (1, 2, 3, 10**6, 10**40) for p in filter(is_prime, range(2, 700))]
     for p in (2, 13, 101):
-        k = _least_unprintable_k(p, limit)
+        k = _least_unprintable_k(p, digits)
         cells += [(k - 1, p), (k, p)]
     for k, p in cells:
         try:
@@ -262,11 +283,12 @@ def test_the_digit_check_matches_str_exactly(default_str_digits, limit):
             printable = True
         except ValueError:
             printable = False
+        sys.set_int_max_str_digits(limit)
         try:
-            cli._require_printable(wss_trinomial(k, p))
-            passed = True
+            passed = cli._printable_discriminant(k, p) == fp_discriminant(k, p)
         except ResourceBudgetError:
             passed = False
+        sys.set_int_max_str_digits(digits)
         assert passed == printable, (k, p, limit)
 
 

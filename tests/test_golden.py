@@ -35,8 +35,10 @@ CASES = [
     ("monogenic_1_673.txt", ("monogenic", "--k", "1", "--p", "673")),
     ("period_1_169.json", ("period", "--k", "1", "--m", "169")),
     ("discriminant_2_13.json", ("discriminant", "--k", "2", "--p", "13")),
-    # p at the cap and a 20-digit k: about 4,243 digits per line
+    # p = 101 and a 20-digit k: about 4,243 digits per line
     ("discriminant_1e19_101.txt", ("discriminant", "--k", "10000000000000000000", "--p", "101")),
+    # the largest p at k = 1 whose 4278-digit discriminant prints at the default limit
+    ("discriminant_1_673.txt", ("discriminant", "--k", "1", "--p", "673")),
     *(
         (f"search_{criterion}.json", (*SEARCH, "--criterion", criterion, "--jobs", "1"))
         for criterion in ("period", "entry", "alpha", "monogenic", "all")

@@ -40,6 +40,7 @@ from wallsunsun.trinomial import (
 from oracles import (
     case4_gh_exact,
     disc_from_resultant,
+    fp_is_reducible,
     log_uniform_integers,
     poly_gcd_mod,
     poly_mul,
@@ -155,6 +156,33 @@ def test_fp_discriminant_factor_shape():
         d = abs(fp_discriminant(k, p))
         allowed = {p} | set(factorize(k * k + 4).primes())
         assert set(factorize(d).primes()) <= allowed
+
+
+# --------------------------------------------------------------- irreducibility
+
+
+def test_fp_is_reducible_matches_sympy():
+    """Every k <= 90 at p = 3, 5, 7, and k within 1 of V_p(1) at p = 11, 13."""
+    cells = [(k, p) for p in (3, 5, 7) for k in range(1, 91)]
+    cells += [(k, p) for p, lucas_p in ((11, 199), (13, 521)) for k in range(lucas_p - 1, lucas_p + 2)]
+    reducible = set()
+    for k, p in cells:
+        by_sympy = not _sympy_poly(wss_trinomial(k, p)).is_irreducible
+        assert fp_is_reducible(k, p) == by_sympy, (k, p)
+        if by_sympy:
+            reducible.add((k, p))
+    assert reducible == {(4, 3), (14, 3), (36, 3), (76, 3), (11, 5), (82, 5), (29, 7), (199, 11), (521, 13)}
+
+
+def test_every_reducible_fp_fails_the_hypotheses():
+    # validate_k's premise: under the hypotheses every F_p is irreducible.
+    # V_3(1) = 4 is the least reducible k, and V_p(1) > 10^4 from p = 23 on.
+    reducible = [
+        (k, p) for p in (3, 5, 7, 11, 13, 17, 19) for k in range(1, 10**4 + 1) if fp_is_reducible(k, p)
+    ]
+    assert len(reducible) == 34  # 21 at p = 3, 6 at 5, 3 at 7, and V_p(1) at 11, 13, 17, 19
+    for k, p in reducible:
+        assert not validate_k(k).satisfied, (k, p)
 
 
 # -------------------------------------------------------------- index_d_value

@@ -37,7 +37,14 @@ from wallsunsun.wss import (
     validate_k,
 )
 
-from oracles import is_wss_brute, legendre_euler, sieve_primes, u_term
+from oracles import (
+    is_wss_brute,
+    legendre_euler,
+    lifted_wss_k,
+    quad_pow_rtl,
+    sieve_primes,
+    u_term,
+)
 
 # k = 2 mod 4 whose hypothesis quantity is 2 * (a semiprime of two 7-digit
 # primes); trial division cannot touch the semiprime, so a tiny rho budget
@@ -781,6 +788,52 @@ def test_classify_agrees_at_large_p():
             assert not _closes(k, c.pi_p // r, p), (cell, r)
         assert c.pi_p2 in (c.pi_p, p * c.pi_p), cell
         assert _closes(k, c.pi_p, p * p) == (c.pi_p2 == c.pi_p), cell
+
+
+LIFT_BUDGET = 10**5  # rho iterations per factoring: a draw that needs more is skipped
+
+
+def _within_hypotheses(k):
+    try:
+        return validate_k(k, factor_budget=LIFT_BUDGET).satisfied
+    except FactorizationBudgetError:
+        return False
+
+
+def test_lifted_hits_at_large_p_are_flagged_by_every_criterion():
+    """Four seeded cells, one per quarter of [10^7, 10^12] in log p, each a hit by construction.
+
+    oracles.lifted_wss_k solves for the one k = k0 mod p that makes p a
+    k-Wall-Sun-Sun prime, and its own ladder proves the hit. Every
+    criterion must say so, and must say no at a control k + j*p (j a
+    multiple of 4, so k mod 4 is kept): the same line mod p, so no hit.
+    Draws that fail the hypotheses or the factoring budget are skipped
+    and counted.
+    """
+    rng = random.Random(0x11F7ED)
+    cells = skipped = 0
+    while cells < 4:
+        p = 4
+        while not isprime(p):
+            p = int(10 ** rng.uniform(7 + 1.25 * cells, 8.25 + 1.25 * cells))
+        k0 = rng.randrange(1, p)
+        delta = legendre_euler(k0 * k0 + 4, p)
+        k = lifted_wss_k(p, k0, rng.choice((1, 2, 3))) if delta else None
+        try:
+            c = classify(k, p, factor_budget=LIFT_BUDGET) if k and _within_hypotheses(k) else None
+        except FactorizationBudgetError:  # factoring pi(p)
+            c = None
+        if c is None:
+            skipped += 1
+            assert skipped < 20, "too many draws skipped"
+            continue
+        cells += 1
+        assert quad_pow_rtl(0, 1, p - delta, k, p * p)[1] == 0, (k, p)  # U_{p-delta}(k)
+        assert c.is_wss and c.by_period and c.by_entry and c.by_alpha and c.by_monogenic, c
+        assert c.pi_p == c.pi_p2, c
+        control = next(k + j * p for j in range(4, 400, 4) if _within_hypotheses(k + j * p))
+        c = classify(control, p, factor_budget=LIFT_BUDGET)
+        assert not (c.is_wss or c.by_period or c.by_entry or c.by_alpha or c.by_monogenic), c
 
 
 def test_largest_known_hit_is_flagged_by_every_criterion():
