@@ -13,6 +13,7 @@ all of them side by side as a cross-check:
 
 from __future__ import annotations
 
+import atexit
 import os
 from collections import namedtuple
 
@@ -212,6 +213,33 @@ def _search_unit(unit: tuple) -> list[SearchHit]:
     return hits
 
 
+_pool = []  # [(executor class, workers, pid), pool]: the pool pooled searches share, once built
+
+
+@atexit.register
+def _close_pool() -> None:
+    """Shut the kept pool down; a process forked from the one that built it only drops it."""
+    if _pool and _pool[0][2] == os.getpid():
+        _pool[1].__exit__(None, None, None)
+    _pool.clear()
+
+
+def _pool_map(units: list, workers: int) -> list:
+    """map _search_unit over units on the kept pool; a broken pool is rebuilt and rerun once."""
+    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor  # loads multiprocessing
+    key = (ProcessPoolExecutor, workers, os.getpid())
+    for retry in (False, True):
+        if not _pool or _pool[0] != key:
+            _close_pool()  # first, so no old pool's manager thread runs across the fork
+            _pool[:] = key, ProcessPoolExecutor(max_workers=workers).__enter__()
+        try:
+            return list(_pool[1].map(_search_unit, units))
+        except BrokenExecutor:  # a worker died; units are pure, so rerunning them all is safe
+            _close_pool()
+            if retry:
+                raise
+
+
 def search(
     k_min: int,
     k_max: int,
@@ -223,15 +251,16 @@ def search(
 ) -> SearchResult:
     """Scan k in [k_min, k_max] and primes p <= p_max for k-Wall-Sun-Sun hits.
 
-    criterion picks the detector; "all" runs the full cross-checked
-    classification per cell. Criteria that are only meaningful under the
-    hypotheses (alpha, monogenic, all) skip failing k values and report
-    them in skipped_k; period and entry scan every k. The hit list is
-    sorted by (k, p) and does not depend on jobs or scheduling. factor_budget
-    caps each factoring: of k^2+4, and of the period multiple of each cell
-    whose sequence closes mod p^2 at it or that another criterion reports;
-    no other cell factors. At most min(jobs, cpu count) worker processes
-    run; jobs <= 1 runs in-process.
+    criterion picks the detector; "all" runs the full cross-checked classification per
+    cell. Criteria that are only meaningful under the hypotheses (alpha, monogenic, all)
+    skip failing k values and report them in skipped_k; period and entry scan every k.
+    The hit list is sorted by (k, p) and does not depend on jobs or scheduling.
+    factor_budget caps each factoring: of k^2+4, and of the period multiple of each cell
+    whose sequence closes mod p^2 at it or that another criterion reports; no other cell
+    factors. jobs <= 1 or a single unit runs in-process; otherwise min(jobs, cpu count,
+    units) workers run the units, from one pool per process: built by the first pooled
+    call, reused while the worker count holds, replaced when it changes, shut down at
+    exit, and rebuilt once, with the whole map rerun, if a worker dies.
     """
     if k_min < 1:
         raise ValueError(f"k_min must be >= 1, got {k_min}")
@@ -265,11 +294,7 @@ def search(
     if workers <= 1:
         parts = list(map(_search_unit, units))
     else:
-        # Imported here: the pool pulls in multiprocessing, which in-process runs never need.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_search_unit, units))
+        parts = _pool_map(units, workers)
     return SearchResult(
         criterion=criterion,
         k_min=k_min,

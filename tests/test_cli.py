@@ -219,7 +219,7 @@ def test_with_the_digit_limit_off_the_default_limit_still_bounds_the_output(caps
     assert err.startswith("resource budget exceeded: disc F_p for k=1, p=677 has over 4300 digits")
 
 
-def test_discriminant_at_the_cap_with_a_twenty_digit_k_is_quick(capsys, default_str_digits):
+def test_discriminant_at_p_101_with_a_twenty_digit_k_is_quick(capsys, default_str_digits):
     k = 10**19
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "discriminant", "--k", str(k), "--p", "101")

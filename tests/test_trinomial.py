@@ -136,7 +136,7 @@ def test_fp_discriminant_closed_form_equals_resultant_grid():
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 10**6 + 3, 10**19])
-def test_fp_discriminant_closed_form_equals_resultant_up_to_the_cli_cap(k):
+def test_fp_discriminant_equals_resultant_up_to_p_101(k):
     for p in sieve_primes(101):
         if p >= 17:
             assert fp_discriminant(k, p) == discriminant_resultant(wss_trinomial(k, p)), (k, p)

@@ -4,10 +4,15 @@ import concurrent.futures
 import inspect
 import json
 import multiprocessing
+import os
 import pickle
 import random
+import signal
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -38,6 +43,7 @@ from wallsunsun.wss import (
 )
 
 from oracles import (
+    fp_is_reducible,
     is_wss_brute,
     legendre_euler,
     lifted_wss_k,
@@ -403,6 +409,94 @@ def test_search_unit_honours_the_factor_budget_in_period_factoring(monkeypatch, 
     with pytest.raises(FactorizationBudgetError) as info:
         wss._search_unit(unit)
     assert info.value.cofactor == 1013 * 1033
+
+
+# Tests that patch a cell function search with jobs=1: workers forked earlier miss the patch.
+
+
+def test_pooled_searches_share_one_pool_that_ends_with_the_process():
+    # The last line keeps wss alive into the end of interpreter teardown, as a test
+    # runner's objects do; a pool still held then is collected after multiprocessing is gone.
+    src = str(Path(wallsunsun.__file__).resolve().parents[1])
+    code = (
+        f"import builtins, multiprocessing, os, sys; sys.path.insert(0, {src!r})\n"
+        "from wallsunsun import wss\n"
+        "os.cpu_count = lambda: 2\n"
+        "for criterion in ('period', 'all'):\n"
+        "    wss.search(1, 6, 300, criterion, jobs=2)\n"
+        "    print(sorted(child.pid for child in multiprocessing.active_children()))\n"
+        "builtins.kept = wss\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr, proc.stderr
+    first, second = map(json.loads, proc.stdout.splitlines())
+    assert len(first) == 2 and first == second
+    for pid in first:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+
+@pytest.fixture
+def kept_pool(monkeypatch):
+    """A new two-worker pool kept by a pooled search; gives its window, result and workers."""
+    monkeypatch.setattr(wss.os, "cpu_count", lambda: 2)
+    wss._close_pool()
+    window = (1, 6, 300, "period")
+    reference = search(*window, jobs=1)
+    before = set(multiprocessing.active_children())
+    assert search(*window, jobs=2) == reference
+    workers = set(multiprocessing.active_children()) - before
+    assert len(workers) == 2
+    return window, reference, workers
+
+
+def test_a_killed_idle_worker_does_not_break_the_next_pooled_search(kept_pool):
+    window, reference, workers = kept_pool
+    victim = workers.pop()
+    os.kill(victim.pid, signal.SIGKILL)
+    victim.join(10)
+    assert search(*window, jobs=2) == reference
+    assert search(*window, jobs=2) == reference
+
+
+def test_a_fake_executor_still_replaces_a_kept_real_pool(kept_pool, monkeypatch):
+    window, reference, workers = kept_pool
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    assert search(*window, jobs=2) == reference
+    assert search(*window, jobs=2) == reference
+    assert started == [2]  # built once and kept
+    assert not any(worker.is_alive() for worker in workers)
+
+
+def test_a_worker_error_keeps_its_payload_and_the_pool_its_workers(kept_pool):
+    window, reference, workers = kept_pool
+    # k makes RHO_MULTIPLE_P a hit, so the period criterion factors p - 1 there
+    k = lifted_wss_k(RHO_MULTIPLE_P, 1, 1)
+    lows = (RHO_MULTIPLE_P - 49, RHO_MULTIPLE_P + 1)
+    units = [(((k, None),), lo, lo + 50, "period", 1) for lo in lows]
+    with pytest.raises(FactorizationBudgetError) as info:
+        wss._pool_map(units, 2)
+    assert info.value.cofactor == 1013 * 1033 and info.value.partial == ((2, 1),)
+    assert search(*window, jobs=2) == reference
+    assert workers <= set(multiprocessing.active_children())
 
 
 def test_search_allocates_no_object_per_cell(monkeypatch):
@@ -834,6 +928,43 @@ def test_lifted_hits_at_large_p_are_flagged_by_every_criterion():
         control = next(k + j * p for j in range(4, 400, 4) if _within_hypotheses(k + j * p))
         c = classify(control, p, factor_budget=LIFT_BUDGET)
         assert not (c.is_wss or c.by_period or c.by_entry or c.by_alpha or c.by_monogenic), c
+
+
+def test_the_p_part_of_the_criterion_holds_on_k_outside_the_hypotheses():
+    """For odd p with p^2 not dividing k^2+4: p is k-Wall-Sun-Sun iff F_p(alpha) = 0 in R_{p^2}
+    iff p divides the index of F_p, on every k <= 200 that fails the hypotheses and odd p < 500.
+
+    That is a statement measured, not proved. The index theorem needs F_p irreducible, so the
+    cells where it factors are skipped and counted. Where p^2 | k^2+4, p is never k-Wall-Sun-Sun
+    though alpha and the q = p verdict both say yes. Entry matches the period on every cell,
+    and at p = 2 the q = 2 verdict does. A counterexample fails this test with its cell.
+    """
+    ks = [k for k in range(1, 201) if not validate_k(k).satisfied]
+    counts = Counter()
+    for k in ks:
+        for p in sieve_primes(499)[1:]:
+            pi_p, pi_p2 = lucas._periods_p_p2(k, p)
+            period = pi_p == pi_p2
+            assert wss._entry_hit(k, p, legendre_euler(k * k + 4, p)) == period, (k, p)
+            alpha = quadring._fp_alpha(k, p) == (0, 0)
+            d, norm = trinomial._d_norm(2 * p, p, -k, -1)
+            q_p = trinomial._index_case(2 * p, p, -k, -1, p, d, norm)[0]
+            if (k * k + 4) % (p * p) == 0:
+                counts["p^2 | k^2+4"] += 1
+                assert alpha and q_p and not period, (k, p)
+            elif fp_is_reducible(k, p):
+                counts["reducible"] += 1
+            else:
+                counts["hit" if period else "no hit"] += 1
+                assert alpha == q_p == period, (k, p, alpha, q_p, period)
+        pi_2, pi_4 = lucas._periods_p_p2(k, 2)
+        q_2 = trinomial._index_case(4, 2, -k, -1, 2, *trinomial._d_norm(4, 2, -k, -1))[0]
+        assert q_2 == (pi_2 == pi_4), k
+        counts["hit at p = 2"] += pi_2 == pi_4
+    assert len(ks) == 66
+    assert counts == {
+        "hit": 86, "no hit": 6088, "p^2 | k^2+4": 22, "reducible": 8, "hit at p = 2": 50
+    }
 
 
 def test_largest_known_hit_is_flagged_by_every_criterion():
