@@ -195,8 +195,6 @@ def factorize(n: int, *, budget: int | None = None) -> Factorization:
     remaining = budget
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if is_prime(m):
             counts[m] = counts.get(m, 0) + 1
             continue

@@ -305,13 +305,15 @@ def _case4_g_h(N: int, M: int, A: int, B: int, q: int, qm: int) -> tuple[list[in
 def index_check_prime(t: Trinomial, q: int) -> IndexVerdict:
     """Decide whether prime q divides the index [Z_K : Z[theta]] for t.
 
-    Requires q | disc(t) and t irreducible over Q (the caller vouches for
-    irreducibility). q | disc(t) is read off Swan's closed form
-    disc(t) = (-1)^(N(N-1)/2) * B^(M-1) * D^r, with D from index_d_value,
-    so the discriminant itself is never built.
+    Requires t irreducible over Q (the caller vouches for it) and q | disc(t),
+    checked here, the one place q comes from outside: Swan's closed form
+    disc(t) = (-1)^(N(N-1)/2) * B^(M-1) * D^r, D from index_d_value, decides it.
     """
     require_prime(q, "q")
-    return IndexVerdict(q, *_index_case(*t, q, *index_d_value(t)))
+    d, norm = index_d_value(t)
+    if not ((t.M > 1 and t.B % q == 0) or d % q == 0):
+        raise ValueError(f"q = {q} does not divide the discriminant of {t}")
+    return IndexVerdict(q, *_index_case(*t, q, d, norm))
 
 
 def _quotient(c: int, q: int, e: int, what: str, f: tuple) -> int:
@@ -325,10 +327,7 @@ def _quotient(c: int, q: int, e: int, what: str, f: tuple) -> int:
 def _index_case(
     n: int, m: int, a: int, b: int, q: int, d: int, norm: int
 ) -> tuple[bool, int, str]:
-    """index_check_prime's (divides_index, item_used, detail) on plain ints; (d, norm) = _d_norm."""
-    if not ((m > 1 and b % q == 0) or d % q == 0):
-        raise ValueError(f"q = {q} does not divide the discriminant of {Trinomial(n, m, a, b)}")
-
+    """index_check_prime's verdict triple, after its q | disc check; (d, norm) = _d_norm."""
     r = math.gcd(n, m)
     n1, m1 = n // r, m // r
     q2 = q * q
@@ -366,8 +365,7 @@ def _index_case(
     if m % q == 0:
         mv = min(_valuation(q, n), _valuation(q, m))
         g, h = _case4_g_h(n, m, a, b, q, q**mv)
-        gcd = _poly_gcd(g, h, q)
-        degree = len(gcd) - 1 if gcd else -1
+        degree = len(_poly_gcd(g, h, q)) - 1  # G is monic, so the gcd is never empty
         return degree != 0, 4, f"gcd(G, H) over F_q has degree {degree}"
 
     ok = norm % q2 != 0
@@ -383,13 +381,12 @@ def is_monogenic_fp(
     Valid only under the standing hypotheses (4 does not divide k and
     (k^2+4)/gcd(2,k)^2 squarefree), which guarantee irreducibility; they
     are checked first. The discriminant's prime factors are p together
-    with the primes of k^2+4, read off the closed form. The discriminant
-    itself is not built: the per-prime check decides q | disc by Swan's
-    formula, and the report computes it only when read.
+    with the primes of k^2+4, read off the closed form, so none needs the
+    q | disc check of index_check_prime. The discriminant itself is not
+    built: the report computes it only when read.
     """
     hyp = validate_k(k, factor_budget=factor_budget).require()
-    require_prime(p)
-    t = Trinomial(N=2 * p, M=p, A=-k, B=-1)
+    t = wss_trinomial(k, p)
     # primes(k^2+4) = primes(D): D = k^2+4 for odd k, and for k = 2 mod 4,
     # D = (k/2)^2 + 1 is even, so dividing by 4 loses no prime.
     qs = sorted({p, *hyp.factorization.primes()})

@@ -19,7 +19,7 @@ from collections import namedtuple
 
 from .errors import CriterionUnsupportedError, InconsistencyError
 from .intmath import jacobi, primes_between, require_prime
-from .lucas import _check_k_m, _closing, _periods_p_p2, lucas_u
+from .lucas import _check_k_m, _closing, _periods_p_p2, _u_pair
 from .quadring import _fp_alpha
 from .trinomial import WssHypotheses, _fp_divides_index, validate_k
 
@@ -81,7 +81,7 @@ def is_wss_by_entry(k: int, p: int) -> bool:
 
 def _entry_hit(k: int, p: int, delta: int) -> bool:
     """is_wss_by_entry for a proven odd prime p with delta = delta_p(k, p)."""
-    return delta != 0 and lucas_u(k, p - delta, p * p) == 0
+    return delta != 0 and _u_pair(k, p - delta, p * p)[0] == 0
 
 
 def is_wss_by_alpha(k: int, p: int, *, factor_budget: int | None = None) -> bool:
@@ -252,15 +252,16 @@ def search(
     """Scan k in [k_min, k_max] and primes p <= p_max for k-Wall-Sun-Sun hits.
 
     criterion picks the detector; "all" runs the full cross-checked classification per
-    cell. Criteria that are only meaningful under the hypotheses (alpha, monogenic, all)
-    skip failing k values and report them in skipped_k; period and entry scan every k.
-    The hit list is sorted by (k, p) and does not depend on jobs or scheduling.
+    cell. alpha, monogenic and all skip each k that fails the hypotheses and report it in
+    skipped_k; period and entry scan every k. Hits are sorted by (k, p), whatever jobs is.
     factor_budget caps each factoring: of k^2+4, and of the period multiple of each cell
     whose sequence closes mod p^2 at it or that another criterion reports; no other cell
     factors. jobs <= 1 or a single unit runs in-process; otherwise min(jobs, cpu count,
-    units) workers run the units, from one pool per process: built by the first pooled
-    call, reused while the worker count holds, replaced when it changes, shut down at
-    exit, and rebuilt once, with the whole map rerun, if a worker dies.
+    units) workers run the units, from one pool per process (a forked child builds its
+    own): built by the first pooled call, reused while the worker count holds, replaced
+    when it changes, shut down at exit, and rebuilt once, with the whole map rerun, if a
+    worker dies. The pool's slot has no lock: pooled searches from several threads at
+    once are not supported.
     """
     if k_min < 1:
         raise ValueError(f"k_min must be >= 1, got {k_min}")

@@ -67,6 +67,31 @@ def fp_is_reducible(k: int, p: int) -> bool:
     return False
 
 
+def fp_index_squared(k: int, p: int) -> int | None:
+    """[Z_K : Z[theta]]^2 for an irreducible F_p = x^(2p) - k x^p - 1, as disc(F_p) / disc(Z_K).
+
+    disc(Z_K) comes from sympy's round_two (Zassenhaus's Round Two; Cohen,
+    A Course in Computational Algebraic Number Theory, 6.1), which shares
+    nothing with the package's five-case index criterion. sympy 1.14.0
+    returns disc(Z_K) = 0 for some irreducible F_5 (k = 36, 64, 136, 164);
+    such an oracle failure gives None.
+    """
+    from sympy import Poly, symbols
+    from sympy.polys.numberfields.basis import round_two
+
+    x = symbols("x")
+    f = Poly(x ** (2 * p) - k * x**p - 1, x, domain="ZZ")
+    if not f.is_irreducible:
+        raise ValueError(f"F_{p} is reducible at k = {k}")
+    _, disc_k = round_two(f)
+    if disc_k == 0:
+        return None
+    index_sq, rem = divmod(int(f.discriminant()), int(disc_k))
+    if rem or index_sq < 1 or math.isqrt(index_sq) ** 2 != index_sq:
+        raise ValueError(f"disc(F_{p}) / disc(Z_K) = {f.discriminant()} / {disc_k} at k = {k}")
+    return index_sq
+
+
 def state_period(k: int, m: int) -> int:
     """Period of (U_n, U_{n+1}) mod m by stepping until (0, 1) recurs."""
     if m < 2:

@@ -42,6 +42,7 @@ from wallsunsun.wss import (
     validate_k,
 )
 
+import sweep_fp_index
 from oracles import (
     fp_is_reducible,
     is_wss_brute,
@@ -786,6 +787,15 @@ def test_search_never_tests_a_sieved_prime(prime_tests, criterion):
     assert not set(prime_tests) & set(sieve_primes(300))
 
 
+@pytest.mark.parametrize("criterion", ["entry", "all"])
+def test_search_cells_make_no_input_check(monkeypatch, criterion):
+    # every validating lucas entry point checks k and m with _check_k_m; a
+    # search cell has k and p proven by its caller and runs the private ladders
+    checks = _record_calls(monkeypatch, lucas._check_k_m)
+    assert search(1, 20, 3000, criterion, jobs=1).hits
+    assert not checks
+
+
 def _index_check_at_p(k, p):
     return trinomial.index_check_prime(trinomial.Trinomial(2 * p, p, -k, -1), p)
 
@@ -965,6 +975,22 @@ def test_the_p_part_of_the_criterion_holds_on_k_outside_the_hypotheses():
     assert counts == {
         "hit": 86, "no hit": 6088, "p^2 | k^2+4": 22, "reducible": 8, "hit at p = 2": 50
     }
+
+
+def test_the_index_from_a_maximal_order_agrees_with_the_period():
+    """On every k <= 40 at p = 2 and 3, the index of F_p from sympy's round_two, with no code
+    from the index cases or alpha, says what the period says (see tests/sweep_fp_index.py).
+
+    For valid k, p divides the index exactly when p is k-Wall-Sun-Sun, and no prime of
+    k^2+4 divides it. For every k with p^2 not dividing k^2+4, p divides the index exactly
+    when p is k-Wall-Sun-Sun. Reducible cells are skipped, and so are cells where the oracle
+    fails; all are counted.
+    """
+    counts, bad = sweep_fp_index.sweep(range(1, 41), (2, 3))
+    assert not bad, bad
+    assert counts == Counter(
+        {"cells": 77, "hits": 20, "valid k": 52, "reducible": 3, "oracle failure": 0}
+    )
 
 
 def test_largest_known_hit_is_flagged_by_every_criterion():
