@@ -106,9 +106,17 @@ _TRIAL_PRIMES = tuple(primes_between(2, TRIAL_BOUND + 1))
 
 
 def require_prime(n: int, name: str = "p") -> None:
-    """Raise ValueError unless n is prime: the one check a public entry point makes."""
+    """Raise ValueError unless n is prime: a public entry point's one primality test."""
     if not is_prime(n):
         raise ValueError(f"{name} must be prime, got {n}")
+
+
+def require_k_m(k: int, m: int | None = None) -> None:
+    """Raise ValueError unless k >= 1 and, if m is given, m >= 2: k is checked first."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if m is not None and m < 2:
+        raise ValueError(f"m must be >= 2, got {m}")
 
 
 class Factorization(namedtuple("Factorization", "n factors")):

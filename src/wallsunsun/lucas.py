@@ -18,14 +18,7 @@ from __future__ import annotations
 import math
 
 from .errors import InconsistencyError
-from .intmath import factorize, jacobi, require_prime
-
-
-def _check_k_m(k: int, m: int) -> None:
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if m < 2:
-        raise ValueError(f"m must be >= 2, got {m}")
+from .intmath import factorize, jacobi, require_k_m, require_prime
 
 
 def _u_pair(k: int, n: int, m: int) -> tuple[int, int]:
@@ -36,7 +29,7 @@ def _u_pair(k: int, n: int, m: int) -> tuple[int, int]:
         U_{2t+1} = U_{t+1}^2 + U_t^2
     """
     a, b = 0, 1  # (U_0, U_1)
-    for bit in bin(n)[2:] if n else "":
+    for bit in bin(n)[2:]:
         twice = a * (2 * b - k * a) % m
         plus = (a * a + b * b) % m
         if bit == "0":
@@ -48,7 +41,7 @@ def _u_pair(k: int, n: int, m: int) -> tuple[int, int]:
 
 def lucas_u(k: int, n: int, m: int) -> int:
     """U_n(k, -1) mod m."""
-    _check_k_m(k, m)
+    require_k_m(k, m)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     return _u_pair(k, n, m)[0]
@@ -75,7 +68,7 @@ def pisano_period(k: int, m: int, *, factor_budget: int | None = None) -> int:
     factor_budget caps the rho iterations of each factoring step, as in
     factorize; running out raises FactorizationBudgetError.
     """
-    _check_k_m(k, m)
+    require_k_m(k, m)
     exponents: dict[int, int] = {}
     for q, e in factorize(m, budget=factor_budget).factors:
         piece = dict(factorize(_prime_multiple(k, q), budget=factor_budget).factors)
@@ -126,5 +119,5 @@ def _periods_p_p2(
 def period_p_squared(k: int, p: int) -> int:
     """pi(p^2) for prime p."""
     require_prime(p)
-    _check_k_m(k, p)
+    require_k_m(k)
     return _periods_p_p2(k, p)[1]

@@ -8,7 +8,7 @@ alpha -> k - alpha is a ring automorphism fixing Z/mZ.
 
 from __future__ import annotations
 
-from .intmath import require_prime
+from .intmath import require_k_m, require_prime
 
 
 class QuadElem:
@@ -20,10 +20,7 @@ class QuadElem:
     __slots__ = ("a", "b", "k", "m")
 
     def __init__(self, a: int, b: int, k: int, m: int):
-        if m < 2:
-            raise ValueError(f"m must be >= 2, got {m}")
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
+        require_k_m(k, m)
         for name, value in (("a", a % m), ("b", b % m), ("k", k), ("m", m)):
             object.__setattr__(self, name, value)
 

@@ -16,7 +16,7 @@ import math
 from collections import namedtuple
 
 from .errors import HypothesisError, InconsistencyError
-from .intmath import factorize, require_prime
+from .intmath import factorize, require_k_m, require_prime
 
 
 class Trinomial(namedtuple("Trinomial", "N M A B")):
@@ -94,8 +94,7 @@ def validate_k(k: int, *, factor_budget: int | None = None) -> WssHypotheses:
     This is the one place k^2+4 is factored: callers that need its primes
     read them from the returned factorization.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    require_k_m(k)
     g = 2 if k % 2 == 0 else 1
     d = (k * k + 4) // (g * g)
     factorization = factorize(d, budget=factor_budget)
@@ -110,8 +109,7 @@ def validate_k(k: int, *, factor_budget: int | None = None) -> WssHypotheses:
 
 def wss_trinomial(k: int, p: int) -> Trinomial:
     """The detector trinomial x^{2p} - k x^p - 1."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    require_k_m(k)
     require_prime(p)
     return Trinomial(N=2 * p, M=p, A=-k, B=-1)
 
@@ -209,7 +207,7 @@ def _reduce(f: list[int], g: list[int], mod: int) -> list[int]:
 
 
 def _poly_gcd(f: list[int], g: list[int], q: int) -> list[int]:
-    """Monic gcd over F_q (empty list for gcd of two zero polynomials).
+    """Monic gcd over F_q of a monic f and any g.
 
     A monic quadratic f with a g of two coefficients, which is what case 4
     gives at q = p, takes the closed form: g = h0 + h1 x with h1 nonzero
@@ -226,8 +224,6 @@ def _poly_gcd(f: list[int], g: list[int], q: int) -> list[int]:
     while g:
         inv = pow(g[-1], -1, q)
         f, g = g, _trim(_reduce(f, [c * inv % q for c in g], q))
-    if not f:
-        return []
     inv = pow(f[-1], -1, q)
     return [c * inv % q for c in f]
 

@@ -18,8 +18,8 @@ import os
 from collections import namedtuple
 
 from .errors import CriterionUnsupportedError, InconsistencyError
-from .intmath import jacobi, primes_between, require_prime
-from .lucas import _check_k_m, _closing, _periods_p_p2, _u_pair
+from .intmath import jacobi, primes_between, require_k_m, require_prime
+from .lucas import _closing, _periods_p_p2, _u_pair
 from .quadring import _fp_alpha
 from .trinomial import WssHypotheses, _fp_divides_index, validate_k
 
@@ -50,8 +50,7 @@ class WssClassification(
 
 def delta_p(k: int, p: int) -> int:
     """Legendre symbol (k^2+4 | p) for odd prime p."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    require_k_m(k)
     if p == 2:
         raise ValueError("delta_p is defined for odd primes only")
     require_prime(p)
@@ -60,7 +59,7 @@ def delta_p(k: int, p: int) -> int:
 
 def is_wss_by_period(k: int, p: int) -> bool:
     require_prime(p)
-    _check_k_m(k, p)
+    require_k_m(k)
     pi_p, pi_p2 = _periods_p_p2(k, p)
     return pi_p2 == pi_p
 
@@ -261,7 +260,7 @@ def search(
     own): built by the first pooled call, reused while the worker count holds, replaced
     when it changes, shut down at exit, and rebuilt once, with the whole map rerun, if a
     worker dies. The pool's slot has no lock: pooled searches from several threads at
-    once are not supported.
+    once are not supported. A negative factor_budget is rejected before any work.
     """
     if k_min < 1:
         raise ValueError(f"k_min must be >= 1, got {k_min}")
@@ -271,6 +270,8 @@ def search(
         raise ValueError(f"p_max must be >= 2, got {p_max}")
     if criterion not in CRITERIA:
         raise ValueError(f"criterion must be one of {CRITERIA}, got {criterion!r}")
+    if factor_budget is not None and factor_budget < 0:
+        raise ValueError(f"factor_budget must be >= 0, got {factor_budget}")
 
     # The units of a k get its hypotheses from here, so workers never factor.
     needs_hypotheses = criterion in ("alpha", "monogenic", "all")

@@ -1,5 +1,6 @@
 """Hypothesis validation, the four criteria, classify, and search."""
 
+import ast
 import concurrent.futures
 import inspect
 import json
@@ -599,6 +600,21 @@ def test_search_validation():
         search(1, 3, 100, "periodic")
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("criterion", CRITERIA)
+@pytest.mark.parametrize("window", [(2, 2, 3), (1, 3, 5)])
+def test_search_checks_the_factor_budget_before_any_work(monkeypatch, window, criterion, jobs):
+    # (2, 2, 3) closes no cell, so nothing would be factored with the budget; at (1, 3, 5)
+    # the first factoring would reject it from inside a cell or from validate_k
+    def no_work(*args, **kwargs):
+        raise AssertionError("search did work before it checked its factor budget")
+
+    monkeypatch.setattr(wss, "_search_unit", no_work)
+    monkeypatch.setattr(wss, "validate_k", no_work)
+    with pytest.raises(ValueError, match="^factor_budget must be >= 0, got -1$"):
+        search(*window, criterion, jobs=jobs, factor_budget=-1)
+
+
 def test_search_criteria_enum_is_frozen():
     assert CRITERIA == ("period", "entry", "alpha", "monogenic", "all")
 
@@ -789,11 +805,22 @@ def test_search_never_tests_a_sieved_prime(prime_tests, criterion):
 
 @pytest.mark.parametrize("criterion", ["entry", "all"])
 def test_search_cells_make_no_input_check(monkeypatch, criterion):
-    # every validating lucas entry point checks k and m with _check_k_m; a
-    # search cell has k and p proven by its caller and runs the private ladders
-    checks = _record_calls(monkeypatch, lucas._check_k_m)
+    # every public entry point checks k and m with require_k_m; a search cell has k and p
+    # proven by its caller and runs the private ladders. Only calls made while the units
+    # run count: validate_k checks each k at search's door, before any unit.
+    checks = _record_calls(monkeypatch, intmath.require_k_m)
+    in_cells = []
+    run_unit = wss._search_unit
+
+    def search_unit(unit):
+        before = len(checks)
+        hits = run_unit(unit)
+        in_cells.extend(checks[before:])
+        return hits
+
+    monkeypatch.setattr(wss, "_search_unit", search_unit)
     assert search(1, 20, 3000, criterion, jobs=1).hits
-    assert not checks
+    assert not in_cells
 
 
 def _index_check_at_p(k, p):
@@ -993,6 +1020,20 @@ def test_the_index_from_a_maximal_order_agrees_with_the_period():
     )
 
 
+def test_the_index_from_a_maximal_order_agrees_with_the_period_at_p_5_and_7():
+    """As above on every k <= 12 at p = 5 and 7, a range chosen by run time (about 1 s).
+
+    The hits are (7, 5), under the hypotheses, and (12, 7), outside them since 4 | 12, so
+    the slice checks both the paper's statement and the p-local one; k = 11 is reducible at
+    p = 5.
+    """
+    counts, bad = sweep_fp_index.sweep(range(1, 13), (5, 7))
+    assert not bad, bad
+    assert counts == Counter(
+        {"cells": 23, "hits": 2, "valid k": 16, "reducible": 1, "oracle failure": 0}
+    )
+
+
 def test_largest_known_hit_is_flagged_by_every_criterion():
     """(26, 2461951) is the only known hit above 2 * 10^6 under the hypotheses."""
     k, p = 26, 2461951
@@ -1007,20 +1048,46 @@ def test_largest_known_hit_is_flagged_by_every_criterion():
 # ------------------------------------------------------------ public k check
 
 
-def test_every_public_function_taking_k_rejects_k_below_1():
-    # every other argument is valid, so only k can be at fault
-    valid = {"p": 13, "m": 13, "n": 3, "a": 1, "b": 1}
-    takes_k = [
+def _check_public_calls_reject(param, bad_values, valid, match):
+    """Call every public function taking param with each bad value and every other argument
+    valid, so only param can be at fault; each must raise ValueError. Returns the functions."""
+    takes_param = [
         value
         for value in map(vars(wallsunsun).get, wallsunsun.__all__)
         if callable(value)
         and not (isinstance(value, type) and issubclass(value, (tuple, Exception)))  # records
-        and "k" in inspect.signature(value).parameters
+        and param in inspect.signature(value).parameters
     ]
-    assert {is_wss_by_period, lucas.period_p_squared, validate_k, classify} <= set(takes_k)
-    for func in takes_k:
+    for func in takes_param:
         params = inspect.signature(func).parameters.values()
-        for k in (0, -1):
-            args = [k if q.name == "k" else valid[q.name] for q in params if q.default is q.empty]
-            with pytest.raises(ValueError, match="k must be >= 1"):
+        for bad in bad_values:
+            args = [
+                bad if q.name == param else valid[q.name] for q in params if q.default is q.empty
+            ]
+            with pytest.raises(ValueError, match=match):
                 func(*args)
+    return takes_param
+
+
+def test_every_public_function_taking_k_rejects_k_below_1():
+    valid = {"p": 13, "m": 13, "n": 3, "a": 1, "b": 1}
+    takes_k = _check_public_calls_reject("k", (0, -1), valid, "k must be >= 1")
+    assert {is_wss_by_period, lucas.period_p_squared, validate_k, classify} <= set(takes_k)
+
+
+def test_every_public_function_taking_m_rejects_m_below_2():
+    valid = {"k": 2, "n": 3, "a": 1, "b": 1}
+    takes_m = _check_public_calls_reject("m", (1, 0, -1), valid, "m must be >= 2")
+    assert {lucas.lucas_u, lucas.pisano_period, quadring.QuadElem} <= set(takes_m)
+
+
+def test_src_has_no_assert_statement():
+    # python -O strips asserts, so every invariant check in the package is an explicit raise
+    src = Path(wallsunsun.__file__).resolve().parent
+    asserts = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not asserts, asserts
