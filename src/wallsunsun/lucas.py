@@ -83,37 +83,39 @@ def pisano_period(k: int, m: int, *, factor_budget: int | None = None) -> int:
     return _strip(k, period, exponents.items(), m)
 
 
-def _closing(k: int, p: int) -> tuple[int, tuple[int, int]]:
-    """(L, (U_L, U_{L+1}) mod p^2) for Wall's multiple L of pi(p), p proven prime.
+def _closes_mod_p2(k: int, n: int, p: int) -> bool:
+    """U closes mod p^2 at n, a multiple of pi(p); InconsistencyError unless it closes mod p."""
+    a, b = _u_pair(k, n, p * p)
+    if a % p or b % p != 1:
+        raise InconsistencyError(
+            f"the sequence for k={k} does not close mod {p} at the multiple {n}"
+        )
+    return (a, b) == (0, 1)
 
-    Raises InconsistencyError unless the pair is (0, 1) mod p, which proves
-    pi(p) | L. Then a pair other than (0, 1) proves pi(p^2) does not divide
-    L, so pi(p^2) != pi(p): one ladder rejects a cell without factoring L.
+
+def _period_hit(k: int, p: int) -> bool:
+    """pi(p^2) = pi(p), for a p the caller has proven prime, from one ladder to Wall's multiple L.
+
+    pi(p^2) is pi(p) or p*pi(p), and U closes mod p^2 at L exactly when
+    pi(p^2) | L. So where p does not divide L, closing there decides. p
+    divides L only at L = 6 (p = 2) or L = 4p (delta_p = 0); there L, which
+    factors without rho iterations, is stripped to pi(p) and tested again.
     """
     top = _prime_multiple(k, p)
-    pair = _u_pair(k, top, p * p)
-    if pair[0] % p or pair[1] % p != 1:
-        raise InconsistencyError(
-            f"the sequence for k={k} does not close mod {p} at the multiple {top}"
-        )
-    return top, pair
+    return _closes_mod_p2(k, top, p) and (
+        top % p != 0 or _closes_mod_p2(k, _strip(k, top, factorize(top).factors, p), p)
+    )
 
 
-def _periods_p_p2(
-    k: int, p: int, *, factor_budget: int | None = None, closing: tuple | None = None
-) -> tuple[int, int]:
-    """(pi(p), pi(p^2)) for a p the caller has proven prime, from one ladder mod p^2.
+def _periods_p_p2(k: int, p: int, *, factor_budget: int | None = None) -> tuple[int, int]:
+    """(pi(p), pi(p^2)) for a p the caller has proven prime, from one ladder mod p^2 at pi(p).
 
-    closing is _closing(k, p), when the caller has run it already. pi(p^2)
-    is pi(p) or p*pi(p). So when p does not divide L, pi(p^2) = pi(p)
-    exactly when the sequence closes mod p^2 at L. p divides L only at
-    p = 2 or delta_p = 0; there the closing is tested again at pi(p).
+    The strip divides only while U still closes mod p, so a multiple that
+    does not close is left whole and the ladder at it raises.
     """
-    top, pair = closing or _closing(k, p)
+    top = _prime_multiple(k, p)
     pi_p = _strip(k, top, factorize(top, budget=factor_budget).factors, p)
-    if pair == (0, 1) and (top % p or _u_pair(k, pi_p, p * p) == (0, 1)):
-        return pi_p, pi_p
-    return pi_p, p * pi_p
+    return pi_p, pi_p if _closes_mod_p2(k, pi_p, p) else p * pi_p
 
 
 def period_p_squared(k: int, p: int) -> int:

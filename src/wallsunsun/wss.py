@@ -19,7 +19,7 @@ from collections import namedtuple
 
 from .errors import CriterionUnsupportedError, InconsistencyError
 from .intmath import jacobi, primes_between, require_k_m, require_prime
-from .lucas import _closing, _periods_p_p2, _u_pair
+from .lucas import _period_hit, _periods_p_p2, _u_pair
 from .quadring import _fp_alpha
 from .trinomial import WssHypotheses, _fp_divides_index, validate_k
 
@@ -60,8 +60,7 @@ def delta_p(k: int, p: int) -> int:
 def is_wss_by_period(k: int, p: int) -> bool:
     require_prime(p)
     require_k_m(k)
-    pi_p, pi_p2 = _periods_p_p2(k, p)
-    return pi_p2 == pi_p
+    return _period_hit(k, p)
 
 
 def is_wss_by_entry(k: int, p: int) -> bool:
@@ -106,8 +105,9 @@ def classify(k: int, p: int, *, factor_budget: int | None = None) -> WssClassifi
 
     At p = 2 the entry and alpha criteria are not defined; their fields
     mirror the period verdict and entry_alpha_derived is set. Disagreement
-    between criteria raises InconsistencyError carrying the classification,
-    since agreement is a theorem under the hypotheses.
+    between criteria, or periods that deny the period verdict, raises
+    InconsistencyError carrying the classification, since agreement is a
+    theorem under the hypotheses.
     """
     hyp = validate_k(k, factor_budget=factor_budget).require()
     require_prime(p)
@@ -119,23 +119,20 @@ def _classify(
 ) -> WssClassification | None:
     """classify for a k whose hypotheses hold and a proven prime p; factors only Wall's multiple.
 
-    With hits_only, a cell where every criterion says no, the period one by
-    its closing ladder alone, gives None before any factoring.
+    With hits_only, a cell where every criterion says no gives None before
+    any factoring. The periods must confirm the period verdict.
     """
     k = hyp.k
-    closing = _closing(k, p)
+    by_period = _period_hit(k, p)
     derived = p == 2  # entry and alpha mirror the period verdict there
     delta = 0 if derived else jacobi(k * k + 4, p)
-    by_entry = not derived and _entry_hit(k, p, delta)
-    by_alpha = not derived and _fp_alpha(k, p) == (0, 0)
+    by_entry = by_period if derived else _entry_hit(k, p, delta)
+    by_alpha = by_period if derived else _fp_alpha(k, p) == (0, 0)
     by_monogenic = _fp_divides_index(hyp, p)
-    if hits_only and closing[1] != (0, 1) and not (by_entry or by_alpha or by_monogenic):
+    if hits_only and not (by_period or by_entry or by_alpha or by_monogenic):
         return None
-    pi_p, pi_p2 = _periods_p_p2(k, p, factor_budget=factor_budget, closing=closing)
-    by_period = pi_p2 == pi_p
-    if derived:
-        by_entry = by_alpha = by_period
-    consistent = by_period == by_entry == by_alpha == by_monogenic
+    pi_p, pi_p2 = _periods_p_p2(k, p, factor_budget=factor_budget)
+    consistent = (pi_p2 == pi_p) == by_period == by_entry == by_alpha == by_monogenic
     record = WssClassification(
         k=k,
         p=p,
@@ -152,8 +149,8 @@ def _classify(
     )
     if not consistent:
         raise InconsistencyError(
-            f"criteria disagree at k={k}, p={p}: period={by_period}, "
-            f"entry={by_entry}, alpha={by_alpha}, monogenic={by_monogenic}",
+            f"criteria disagree at k={k}, p={p}: period={by_period} with pi(p)={pi_p}, "
+            f"pi(p^2)={pi_p2}, entry={by_entry}, alpha={by_alpha}, monogenic={by_monogenic}",
             classification=record,
         )
     return record
@@ -177,10 +174,9 @@ def _cell_is_hit(
     """The hit at (k, p) for a sieved prime p, if any; hyp is validate_k(k) where needed."""
     if criterion == "all":
         c = _classify(hyp, p, factor_budget=budget, hits_only=True)
-        if c is None or not c.is_wss:
+        if c is None:
             return None
         return SearchHit(k=k, p=p, pi_p=c.pi_p, pi_p2=c.pi_p2, classification=c)
-    closing = None
     # entry and alpha are undefined at p = 2; ground truth there is the period
     if criterion == "entry" and p != 2:
         hit = _entry_hit(k, p, jacobi(k * k + 4, p))
@@ -189,15 +185,13 @@ def _cell_is_hit(
     elif criterion == "monogenic":
         hit = _fp_divides_index(hyp, p)
     else:
-        closing = _closing(k, p)
-        hit = closing[1] == (0, 1)
+        hit = _period_hit(k, p)
     if not hit:
         return None
-    pi_p, pi_p2 = _periods_p_p2(k, p, factor_budget=budget, closing=closing)
-    if pi_p != pi_p2 and closing is None:
+    pi_p, pi_p2 = _periods_p_p2(k, p, factor_budget=budget)
+    if pi_p != pi_p2:
         raise InconsistencyError(f"{criterion} hits k={k}, p={p} but pi(p)={pi_p}, pi(p^2)={pi_p2}")
-    # a cell that closes mod p^2 at L is still no hit when p | L and pi(p^2) = p*pi(p)
-    return SearchHit(k=k, p=p, pi_p=pi_p, pi_p2=pi_p2) if pi_p == pi_p2 else None
+    return SearchHit(k=k, p=p, pi_p=pi_p, pi_p2=pi_p2)
 
 
 def _search_unit(unit: tuple) -> list[SearchHit]:
@@ -253,14 +247,13 @@ def search(
     criterion picks the detector; "all" runs the full cross-checked classification per
     cell. alpha, monogenic and all skip each k that fails the hypotheses and report it in
     skipped_k; period and entry scan every k. Hits are sorted by (k, p), whatever jobs is.
-    factor_budget caps each factoring: of k^2+4, and of the period multiple of each cell
-    whose sequence closes mod p^2 at it or that another criterion reports; no other cell
-    factors. jobs <= 1 or a single unit runs in-process; otherwise min(jobs, cpu count,
-    units) workers run the units, from one pool per process (a forked child builds its
-    own): built by the first pooled call, reused while the worker count holds, replaced
-    when it changes, shut down at exit, and rebuilt once, with the whole map rerun, if a
-    worker dies. The pool's slot has no lock: pooled searches from several threads at
-    once are not supported. A negative factor_budget is rejected before any work.
+    factor_budget caps each factoring: of k^2+4, and of the period multiple of each hit;
+    no other cell spends budget. jobs <= 1 or a single unit runs in-process; otherwise
+    min(jobs, cpu count, units) workers run the units, from one pool per process (a forked
+    child builds its own): built by the first pooled call, reused while the worker count
+    holds, replaced when it changes, shut down at exit, and rebuilt once, with the whole
+    map rerun, if a worker dies. The pool's slot has no lock: pooled searches from several
+    threads at once are not supported. A negative factor_budget is rejected before any work.
     """
     if k_min < 1:
         raise ValueError(f"k_min must be >= 1, got {k_min}")

@@ -196,16 +196,18 @@ def quad_pow_slow(a: int, b: int, e: int, k: int, m: int) -> tuple[int, int]:
     return quad_mul(steps(steps(x, s), e // s), steps(x, e % s), k, m)
 
 
-def lifted_wss_k(p: int, k0: int, k_mod_4: int) -> int | None:
+def lifted_wss_k(p: int, k0: int, k_mod_4: int) -> int:
     """The k in [1, 4p^2) with k = k0 mod p and k = k_mod_4 mod 4 that makes p k-Wall-Sun-Sun.
 
     p is an odd prime and (k0^2+4 | p) = delta is nonzero, so p divides
     U_{p-delta}(k) for every k = k0 + p*t. By Taylor's formula at k0,
     U_{p-delta}(k0 + p*t)/p mod p is affine in t: one quad_pow_rtl ladder
     mod p^2 at t = 0 and one at t = 1 give it, and the t where it vanishes
-    is the one lift that is a hit. None when the slope is 0 mod p. Being a
-    hit depends on k mod p^2 only, and p^2 = 1 mod 4, so adding j*p^2
-    moves k mod 4 by j.
+    is the one lift that is a hit. The slope law says the slope is
+    -2/(k0^2+4) mod p, never 0 (the proof is in the docstring of
+    test_wss.py::test_every_k_mod_p_squared_agrees_at_small_p); a slope that
+    breaks it raises ArithmeticError. Being a hit depends on k mod p^2 only,
+    and p^2 = 1 mod 4, so adding j*p^2 moves k mod 4 by j.
     """
     delta = legendre_euler(k0 * k0 + 4, p)
     if p == 2 or delta == 0:
@@ -215,8 +217,8 @@ def lifted_wss_k(p: int, k0: int, k_mod_4: int) -> int | None:
     if u0 % p or u1 % p:
         raise ArithmeticError(f"p = {p} does not divide U_(p-delta) at k0 = {k0}")
     slope = (u1 - u0) // p % p
-    if slope == 0:
-        return None
+    if slope != -2 * pow(k0 * k0 + 4, -1, p) % p:
+        raise ArithmeticError(f"slope {slope} at p = {p}, k0 = {k0} is not -2/(k0^2+4) mod p")
     k = (k0 + p * (-(u0 // p) * pow(slope, -1, p) % p)) % p2
     return k + (k_mod_4 - k) % 4 * p2
 

@@ -16,7 +16,7 @@ SRC = Path(wallsunsun.__file__).resolve().parent
 
 # Each criterion's search entry points, as module.name.
 CRITERION_ROOTS = {
-    "period": ("lucas._closing", "lucas._periods_p_p2"),
+    "period": ("lucas._period_hit", "lucas._periods_p_p2"),
     "entry": ("wss._entry_hit",),
     "alpha": ("quadring._fp_alpha",),
     "monogenic": ("trinomial._fp_divides_index",),

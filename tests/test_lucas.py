@@ -274,8 +274,9 @@ def test_period_p_squared_known_values(k, p, expected):
 
 
 # ------------------------------------------------ (pi(p), pi(p^2)) in one pass
-# _periods_p_p2 reads pi(p^2) off one ladder at Wall's multiple L mod p^2. Where
-# p divides L, at p = 2 or delta_p = 0, it also tests the closing at pi(p).
+# _periods_p_p2 strips Wall's multiple L to pi(p) and reads pi(p^2) off one
+# ladder at pi(p) mod p^2. The cells below are those where p divides L, at p = 2
+# or delta_p = 0, where a ladder at L alone cannot decide.
 
 
 @pytest.mark.parametrize(
@@ -316,17 +317,23 @@ def test_periods_p_p2_match_the_two_step_oracle():
 
 
 def test_closing_rejects_exactly_the_cells_whose_period_grows():
-    # The pair at Wall's multiple L is (0, 1) mod p^2 exactly when pi(p^2) | L.
-    # Where p does not divide L that is exactly pi(p^2) = pi(p). Where it does,
-    # at p = 2 and the delta_p = 0 cells of the grid, a closing pair decides
-    # nothing, but a pair that does not close still proves pi(p^2) != pi(p).
+    # U closes mod p^2 at Wall's multiple L exactly when pi(p^2) | L. Where p
+    # does not divide L that is exactly pi(p^2) = pi(p). Where it does, at p = 2
+    # and the delta_p = 0 cells of the grid, a closing decides nothing, but one
+    # that fails still proves pi(p^2) != pi(p). The period verdict is exact on all.
     grid = [(k, p) for k in range(1, 31) for p in sieve_primes(499)]
+    p_divides_a_closing_multiple = 0
     for k, p in grid + _two_step_cells():
-        top, pair = lucas._closing(k, p)
+        top = lucas._prime_multiple(k, p)
+        closes = lucas._closes_mod_p2(k, top, p)
         pi_p, pi_p2 = periods_two_step(k, p)
-        assert top % pi_p == 0 and (pair != (0, 1)) == (top % pi_p2 != 0), (k, p)
+        assert top % pi_p == 0 and closes == (top % pi_p2 == 0), (k, p)
         if top % p:
-            assert (pair != (0, 1)) == (pi_p2 != pi_p), (k, p)
+            assert closes == (pi_p2 == pi_p), (k, p)
+        else:
+            p_divides_a_closing_multiple += closes
+        assert lucas._period_hit(k, p) == (pi_p2 == pi_p), (k, p)
+    assert p_divides_a_closing_multiple == 22  # p = 2 at the odd k and at k = 0 mod 4
 
 
 def test_periods_p_p2_refuse_a_multiple_that_does_not_close(monkeypatch):
@@ -337,7 +344,8 @@ def test_periods_p_p2_refuse_a_multiple_that_does_not_close(monkeypatch):
     real = lucas._prime_multiple
     scan = ((1, wss.validate_k(1)),)
     paths = (
-        lambda: lucas._closing(1, 7),
+        lambda: lucas._period_hit(1, 7),
+        lambda: wss.is_wss_by_period(1, 7),
         lambda: lucas._periods_p_p2(1, 7),
         lambda: period_p_squared(1, 7),
         lambda: wss.classify(1, 7),

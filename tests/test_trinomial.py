@@ -268,6 +268,8 @@ SYNTHETIC_ITEM_CASES = [
     (Trinomial(4, 2, 1, 27), 3, True, 3),
     (Trinomial(6, 3, 1, 1), 3, False, 4),    # ninth cyclotomic
     (Trinomial(3, 1, 2, 22), 5, True, 5),
+    (Trinomial(9, 3, -5, -5), 3, True, 4),   # case-4 gcd of degree exactly 1
+    (Trinomial(10, 5, -4, -2), 5, True, 4),  # case-4 gcd of degree exactly 1
 ]
 
 

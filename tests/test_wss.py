@@ -44,6 +44,7 @@ from wallsunsun.wss import (
 )
 
 import sweep_fp_index
+import sweep_full_period
 from oracles import (
     fp_is_reducible,
     is_wss_brute,
@@ -393,8 +394,8 @@ def test_search_passes_the_factor_budget_into_every_unit(recorded_units, criteri
 
 # p - 1 = 2 * 1013 * 1033 for this prime, and (5 | p) = 1, so pi(p) is found by
 # factoring p - 1, which takes rho iterations: a budget of 1 cannot pay for them.
-# The sequence does not close mod p^2 at p - 1, so search factors that multiple
-# only when the closing step is stubbed to close there.
+# It is no hit, so search factors that multiple only when the period verdict is
+# stubbed to report it.
 RHO_MULTIPLE_P = 2092859
 
 
@@ -402,12 +403,8 @@ RHO_MULTIPLE_P = 2092859
 def test_search_unit_honours_the_factor_budget_in_period_factoring(monkeypatch, criterion):
     unit = ((1, validate_k(1)),), RHO_MULTIPLE_P - 50, RHO_MULTIPLE_P + 50, criterion, 1
     assert wss._search_unit(unit) == []
-    real = lucas._closing
-
-    def candidate(k, p):
-        return (p - 1, (0, 1)) if p == RHO_MULTIPLE_P else real(k, p)
-
-    monkeypatch.setattr(wss, "_closing", candidate)
+    real = lucas._period_hit
+    monkeypatch.setattr(wss, "_period_hit", lambda k, p: p == RHO_MULTIPLE_P or real(k, p))
     with pytest.raises(FactorizationBudgetError) as info:
         wss._search_unit(unit)
     assert info.value.cofactor == 1013 * 1033
@@ -573,6 +570,7 @@ def test_case4_inconsistency_reaches_search_and_the_cli(monkeypatch, capsys):
         ("entry", "_entry_hit", True),
         ("alpha", "_fp_alpha", (0, 0)),
         ("monogenic", "_fp_divides_index", True),
+        ("period", "_period_hit", True),
     ],
 )
 def test_a_single_criterion_hit_must_have_equal_periods(
@@ -587,6 +585,22 @@ def test_a_single_criterion_hit_must_have_equal_periods(
     argv = ["search", "--k-min", "3", "--k-max", "3", "--p-max", "20", "--jobs", "1"]
     assert cli.main([*argv, "--criterion", criterion]) == 3
     assert "internal inconsistency" in capsys.readouterr().err
+
+
+def test_classify_raises_when_the_periods_deny_the_period_verdict(monkeypatch):
+    # the verdict alone reports (3, 7), where pi(7) = 16 and pi(49) = 112, and alone
+    # denies (2, 13), a hit; either way the periods settle the record
+    real = wss._period_hit
+    monkeypatch.setattr(wss, "_period_hit", lambda k, p: (k, p) == (3, 7) or real(k, p))
+    with pytest.raises(InconsistencyError, match=r"period=True with pi\(p\)=16, pi\(p\^2\)=112"):
+        classify(3, 7)
+    with pytest.raises(InconsistencyError, match="k=3, p=7"):
+        search(3, 3, 20, "all", jobs=1)
+    monkeypatch.setattr(wss, "_period_hit", lambda k, p: (k, p) != (2, 13) and real(k, p))
+    with pytest.raises(InconsistencyError) as info:
+        classify(2, 13)
+    c = info.value.classification
+    assert (c.pi_p, c.pi_p2, c.by_period, c.by_entry, c.consistent) == (28, 28, False, True, False)
 
 
 def test_search_validation():
@@ -642,7 +656,7 @@ def test_search_agrees_with_pointwise_period_check(k, p_idx):
 
 @pytest.mark.parametrize("criterion", ["period", "all"])
 def test_search_hits_equal_the_pointwise_periods(criterion):
-    # Search rejects most cells on the closing ladder alone; its hits must
+    # Search rejects most cells on the period verdict's ladder alone; its hits must
     # still be exactly the cells where _periods_p_p2 finds pi(p^2) = pi(p),
     # with the same periods, over a grid holding p = 2 and delta_p = 0.
     res = search(1, 30, 499, criterion, jobs=1)
@@ -725,55 +739,74 @@ def _wall_multiple(k, p):
 
 
 def _closing_cells(ks, primes):
-    """The (k, p), p-major, whose sequence closes mod p^2 at Wall's multiple L: pi(p^2) | L."""
+    """(k, p, L), p-major, for each cell whose sequence closes mod p^2 at Wall's multiple L."""
     cells = [(k, p, _wall_multiple(k, p)) for p in primes for k in ks]
     return [
-        (k, p) for k, p, L in cells if (u_term(k, L, p * p), u_term(k, L + 1, p * p)) == (0, 1)
+        (k, p, L) for k, p, L in cells if (u_term(k, L, p * p), u_term(k, L + 1, p * p)) == (0, 1)
     ]
 
 
 @pytest.mark.parametrize("criterion", ["period", "all"])
 def test_search_factors_only_the_wall_multiple_per_cell(period_factorize_calls, criterion):
-    # p comes from the sieve, so p itself is never factored: the calls are
-    # Wall's multiples only, one for each cell whose sequence closes mod p^2
-    # at that multiple, and none for a cell that does not.
+    # p comes from the sieve, so p itself is never factored: the calls are Wall's
+    # multiples only. A cell whose sequence does not close mod p^2 at its multiple L
+    # factors nothing. One that closes factors L once where p | L, for the period
+    # verdict, and once more if search reports it, for its periods.
     res = search(1, 10, 60, criterion, jobs=1)
     scanned = [k for k in range(1, 11) if k not in res.skipped_k]
     closing = _closing_cells(scanned, sieve_primes(60))
-    assert 0 < len(closing) < len(scanned) * len(sieve_primes(60))
-    assert period_factorize_calls == [_wall_multiple(k, p) for k, p in closing]
+    hits = {(h.k, h.p) for h in res.hits}
+    assert 0 < len(hits) < len(closing) < len(scanned) * len(sieve_primes(60))
+    assert period_factorize_calls == [
+        L for k, p, L in closing for _ in range((L % p == 0) + ((k, p) in hits))
+    ]
 
 
 @pytest.fixture
-def closing_ladders(monkeypatch):
-    """The (k, p) of every _closing call, in order."""
-    return _record_calls(monkeypatch, lucas._closing)
+def period_verdicts(monkeypatch):
+    """The (k, p) of every _period_hit call, in order."""
+    return _record_calls(monkeypatch, lucas._period_hit)
 
 
 @pytest.mark.parametrize("criterion", ["period", "all"])
 def test_search_walks_each_period_once_per_cell(
-    closing_ladders, period_walks, general_periods, criterion
+    period_verdicts, period_walks, general_periods, criterion
 ):
-    # One closing ladder per cell; only a cell that closes is factored and stripped.
+    # One period verdict per cell; only a cell search reports is factored and stripped.
     res = search(1, 10, 60, criterion, jobs=1)
     scanned = [k for k in range(1, 11) if k not in res.skipped_k]
     cells = [(k, p) for p in sieve_primes(60) for k in scanned]
-    assert closing_ladders == cells
-    assert period_walks == _closing_cells(scanned, sieve_primes(60))
+    assert period_verdicts == cells
+    assert period_walks == [(h.k, h.p) for h in sorted(res.hits, key=lambda h: (h.p, h.k))]
     assert general_periods == []
 
 
-def test_period_criterion_and_classify_walk_once(period_walks, general_periods):
+def test_period_criterion_and_classify_walk_once(period_verdicts, period_walks, general_periods):
     is_wss_by_period(2, 13)
     classify(2, 13)
-    assert period_walks == [(2, 13), (2, 13)]
+    assert period_verdicts == [(2, 13), (2, 13)]
+    assert period_walks == [(2, 13)]
     assert general_periods == []
+
+
+def test_the_period_criterion_factors_only_where_p_divides_wall_multiple(
+    period_factorize_calls, period_walks
+):
+    # The verdict reads the ladder at L where p does not divide L; where p | L and
+    # U closes mod p^2 at L, it factors L, 6 or 4p, with no budget and strips it.
+    ks, primes = range(1, 31), sieve_primes(499)
+    for p in primes:
+        for k in ks:
+            is_wss_by_period(k, p)
+    assert period_walks == []
+    expected = [L for k, p, L in _closing_cells(ks, primes) if L % p == 0]
+    assert period_factorize_calls == expected == [6] * 22
 
 
 def test_search_period_window_runs_about_one_ladder_per_cell(monkeypatch):
     # The benchmark's seed-1 search-period window: 20 k times the 430 primes
     # up to 3,000. A cell that is factored and stripped runs about 4 ladders,
-    # so these bounds hold only if a cell its closing ladder rejects runs no
+    # so these bounds hold only if a cell its period verdict rejects runs no
     # other ladder and factors nothing.
     ladders = _record_calls(monkeypatch, lucas._u_pair)
     factorings = _record_calls(monkeypatch, intmath.factorize, (lucas,))
@@ -1002,6 +1035,27 @@ def test_the_p_part_of_the_criterion_holds_on_k_outside_the_hypotheses():
     assert counts == {
         "hit": 86, "no hit": 6088, "p^2 | k^2+4": 22, "reducible": 8, "hit at p = 2": 50
     }
+
+
+def test_every_k_mod_p_squared_agrees_at_small_p():
+    """Every k in [1, p^2] at every prime p < 60 (see tests/sweep_full_period.py), a range
+    chosen by run time (about 0.3 s). Each verdict depends on k mod p^2 only, so this covers
+    every k >= 1 at these p: 16,738 cells where the period, entry, alpha and q = p verdicts
+    agree, and 14 where p^2 | k^2+4, the two roots at each p = 1 mod 4 (5, 13, 17, 29, 37,
+    41 and 53). Each odd p has exactly p - 1 - (-1 | p) hits, and p = 2 one class mod 4.
+
+    The count law, proved by the slope law. Let p be odd, delta = ((k0^2+4) | p) nonzero
+    and n = p - delta. Differentiating Binet's formula gives (k^2+4) dU_n/dk = n V_n - k U_n.
+    Mod p, U_n = 0 and V_n = 2 delta, since alpha^(p-1) = 1 when delta = 1 and
+    alpha^(p+1) = alpha beta = -1 when delta = -1. By Taylor's formula, U_n(k0 + p t)/p is
+    then affine in t mod p with slope 2 n delta/(k0^2+4) = -2/(k0^2+4), never 0. So exactly
+    one t mod p gives p^2 | U_n, the entry criterion: one hit lift of each k0 mod p with
+    p !| k0^2+4. The 1 + (-1 | p) residues k0 with p | k0^2+4 give none, since a ramified
+    odd prime is never k-Wall-Sun-Sun. That leaves p - 1 - (-1 | p) hits mod p^2.
+    """
+    counts, bad = sweep_full_period.sweep(sieve_primes(59))
+    assert not bad, bad
+    assert counts == Counter({"cells": 16_738, "p^2 | k^2+4": 14, "cells at p = 2": 4})
 
 
 def test_the_index_from_a_maximal_order_agrees_with_the_period():
